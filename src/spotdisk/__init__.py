@@ -28,7 +28,6 @@ from .pushcalc import (
     splitting_update,
 )
 from .qicert import (
-    BtFamily,
     CertificateRow,
     certify_grid,
     lambda_word,
@@ -47,7 +46,6 @@ from .whitehead import (
     whitehead_graph,
 )
 from .words import (
-    Generator,
     ReducedWord,
     concat,
     format_word,

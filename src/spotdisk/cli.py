@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 input error, 3 resource-cap error (1 is
 reserved for internal consistency failures).  Diagnostics go to stderr,
-results to stdout.  Identical inputs produce byte-identical output at
-any parallelism degree; SPOTDISK_JOBS sets the default for --jobs.
+results to stdout; identical inputs produce byte-identical output.
+``qi-cert --jobs`` (default from SPOTDISK_JOBS) is accepted and validated
+for compatibility; rows are computed in one thread.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
         args.n,
         args.grid_max,
         budget=args.budget,
-        jobs=config.jobs,
         length_cap=config.length_cap,
     )
     text = qicert.to_csv(rows, config.rank)

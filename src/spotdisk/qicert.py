@@ -13,7 +13,6 @@ assumed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +27,6 @@ from .words import ReducedWord, concat, inverse, power
 __all__ = [
     "PUSH_STEP_BUDGET",
     "PUSH_STEP_BUDGET_HIGH_RANK",
-    "BtFamily",
     "CertificateRow",
     "GridSummary",
     "make_bt",
@@ -64,23 +62,6 @@ def make_bt(g: int, t: int) -> ReducedWord:
     runs = list(range(1, g + 1)) + [1, 2, 1]
     letters = tuple(i for i in runs for _ in range(t + 1))
     return ReducedWord(g, letters)
-
-
-@dataclass(frozen=True)
-class BtFamily:
-    """Push words indexed by t, all at one rank."""
-
-    rank: int
-    words: dict[int, ReducedWord]
-
-    def __post_init__(self) -> None:
-        for t, w in self.words.items():
-            if w != make_bt(self.rank, t):
-                raise ValueError(f"word at index {t} is not the rank-{self.rank} push word")
-
-    @classmethod
-    def standard(cls, g: int, n: int) -> "BtFamily":
-        return cls(g, {t: make_bt(g, t) for t in range(1, n + 1)})
 
 
 def _assignment(n: int, t_assignment: Sequence[int] | None) -> tuple[int, ...]:
@@ -186,15 +167,10 @@ def certify_grid(
     grid_max: int,
     t_assignment: Sequence[int] | None = None,
     budget: int = PUSH_STEP_BUDGET,
-    jobs: int = 1,
     length_cap: int = DEFAULT_LENGTH_CAP,
 ) -> list[CertificateRow]:
     """Certificate rows for every unordered pair of points in
-    {0..grid_max}^n, in lexicographic (k, l) order.
-
-    Rows are independent; with ``jobs`` > 1 they are evaluated on a
-    thread pool and collected in the same deterministic order.
-    """
+    {0..grid_max}^n, in lexicographic (k, l) order."""
     if grid_max < 0:
         raise ValueError(f"grid_max must be nonnegative, got {grid_max}")
     ts = _assignment(n, t_assignment)
@@ -222,9 +198,6 @@ def certify_grid(
             ratio=lower / displacement if displacement else None,
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(build, pairs))
     return [build(pair) for pair in pairs]
 
 

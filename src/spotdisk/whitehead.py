@@ -6,16 +6,20 @@ letter pair ``a b`` of the word, counted with multiplicity.  A word of
 length n therefore produces n - 1 edges.
 
 A piece is called *simple* here when its Whitehead graph is connected
-and free of cut vertices on the chosen vertex set; the simple length of
-a word is the largest number of consecutive pieces it can be split into
+and free of cut vertices on all 2g vertices; the simple length of a
+word is the largest number of consecutive pieces it can be split into
 so that every piece is simple, and 0 when no such split exists.
+
+On a fixed vertex set, adding edges never breaks two-connectivity, so a
+piece that contains a simple piece is simple.  The maximum split is
+therefore greedy: cut at the end of the shortest simple prefix, repeat,
+and let the last piece absorb the remainder.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import CapExceeded, RankError
@@ -24,7 +28,6 @@ from .words import ReducedWord, subword
 __all__ = [
     "WhiteheadGraph",
     "SimpleLengthWitness",
-    "DEFAULT_VERTEX_SET",
     "whitehead_graph",
     "has_cut_vertex",
     "simple_length",
@@ -33,12 +36,6 @@ __all__ = [
     "vertex_label",
     "to_dot",
 ]
-
-# Cut-vertex convention.  "full" runs the check on all 2g vertices, so a
-# word that never uses some basis letter leaves isolated vertices and is
-# flagged as having a cut vertex.  Flip to "support" to restrict the
-# check to vertices that carry at least one edge.
-DEFAULT_VERTEX_SET = "full"
 
 # Degenerate multigraphs with fewer than this many edges always count as
 # having a cut vertex (single letters and two-letter words).
@@ -137,7 +134,8 @@ def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]], edge_count:
     graph on ``verts`` is disconnected (isolated vertices included), or
     when removing some single vertex disconnects the rest.  Articulation
     testing uses low-links on the underlying simple graph; parallel edges
-    never change vertex connectivity.
+    never change vertex connectivity.  The depth-first search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
     """
     if edge_count < MIN_EDGES_FOR_CUT_FREE:
         return True
@@ -145,40 +143,38 @@ def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]], edge_count:
     if n <= 1:
         return False
     root = verts[0]
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int | None] = {root: None}
-    found = False
-    counter = 0
-
-    def dfs(u: int) -> None:
-        nonlocal counter, found
-        disc[u] = low[u] = counter
-        counter += 1
-        children = 0
-        for v in adj[u]:
+    disc = {root: 0}
+    low = {root: 0}
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        u, parent, neighbours = stack[-1]
+        for v in neighbours:
             if v not in disc:
-                parent[v] = u
-                children += 1
-                dfs(v)
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if parent[u] is None:
-                    if children > 1:
-                        found = True
-                elif low[v] >= disc[u]:
-                    found = True
-            elif v != parent[u] and disc[v] < low[u]:
+                disc[v] = low[v] = len(disc)
+                stack.append((v, u, iter(adj[v])))
+                break
+            if v != parent and disc[v] < low[u]:
                 low[u] = disc[v]
+        else:
+            stack.pop()
+            if parent is None:
+                continue
+            if low[u] < low[parent]:
+                low[parent] = low[u]
+            if parent == root:
+                root_children += 1
+            elif low[u] >= disc[parent]:
+                return True
+    return len(disc) != n or root_children > 1
 
-    dfs(root)
-    if len(disc) != n:
-        return True
-    return found
 
-
-def has_cut_vertex(graph: WhiteheadGraph, vertex_set: str = DEFAULT_VERTEX_SET) -> bool:
+def has_cut_vertex(graph: WhiteheadGraph, vertex_set: str = "full") -> bool:
     """Whether the graph fails two-connectivity on the chosen vertex set.
+
+    ``"full"`` runs the check on all 2g vertices, so a word that never
+    uses some basis letter leaves isolated vertices and has a cut vertex;
+    ``"support"`` restricts it to vertices that carry at least one edge.
 
     >>> has_cut_vertex(whitehead_graph(ReducedWord(2, (1,))))
     True
@@ -193,75 +189,46 @@ def has_cut_vertex(graph: WhiteheadGraph, vertex_set: str = DEFAULT_VERTEX_SET) 
     return _cut_vertex_in(verts, adj, graph.edge_count)
 
 
-@lru_cache(maxsize=65536)
-def _piece_table(rank: int, letters: tuple[int, ...], vertex_set: str) -> tuple[int, ...]:
-    """Per-word table of simple pieces.
+def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
+    """Smallest j such that ``letters[start:j]`` is simple, or None.
 
-    Row i is a bitmask whose bit j is set iff the piece ``letters[i:j]``
-    is connected and cut-vertex-free.  Built incrementally: extending a
-    piece by one letter adds one edge, and under the "full" convention
-    the check is skipped outright until every vertex carries an edge.
+    Adds one edge per letter; the cut-vertex check runs only when a new
+    distinct edge lands and every vertex already carries an edge, since
+    a repeated edge leaves the verdict as it was and an isolated vertex
+    always makes a cut.
     """
-    n = len(letters)
-    all_verts = tuple(range(1, rank + 1)) + tuple(range(-1, -rank - 1, -1))
-    rows = []
-    for i in range(n):
-        mask = 0
-        adj: dict[int, set[int]] = {v: set() for v in all_verts}
-        touched = 0
-        edge_count = 0
-        for j in range(i + 1, n + 1):
-            if j - i >= 2:
-                u, v = letters[j - 2], -letters[j - 1]
-                edge_count += 1
-                if v not in adj[u]:
-                    if not adj[u]:
-                        touched += 1
-                    if not adj[v]:
-                        touched += 1
-                    adj[u].add(v)
-                    adj[v].add(u)
-            if edge_count >= MIN_EDGES_FOR_CUT_FREE:
-                if vertex_set == "full":
-                    if touched == 2 * rank and not _cut_vertex_in(all_verts, adj, edge_count):
-                        mask |= 1 << j
-                else:
-                    support = tuple(v for v in all_verts if adj[v])
-                    if not _cut_vertex_in(support, adj, edge_count):
-                        mask |= 1 << j
-        rows.append(mask)
-    return tuple(rows)
+    verts = tuple(range(1, rank + 1)) + tuple(range(-1, -rank - 1, -1))
+    adj: dict[int, set[int]] = {v: set() for v in verts}
+    touched = 0
+    for j in range(start + 2, len(letters) + 1):
+        u, v = letters[j - 2], -letters[j - 1]
+        if v in adj[u]:
+            continue
+        touched += (not adj[u]) + (not adj[v])
+        adj[u].add(v)
+        adj[v].add(u)
+        if touched == 2 * rank and not _cut_vertex_in(verts, adj, j - 1 - start):
+            return j
+    return None
 
 
 def simple_length(w: ReducedWord) -> SimpleLengthWitness:
     """Simple length of ``w`` with a maximizing split.
 
-    Dynamic program over split positions: the best piece count for the
-    prefix [0, j) extends the best count over all i < j whose final
-    piece [i, j) is simple.  Value 0 means no split of any size works;
-    the witness pieces concatenate letterwise to ``w`` (a split never
-    re-reduces across piece boundaries).
+    Cuts greedily at the end of each shortest simple piece; the last
+    piece absorbs the remainder.  Value 0 means no split of any size
+    works; the witness pieces concatenate letterwise to ``w`` (a split
+    never re-reduces across piece boundaries).
     """
-    n = len(w)
-    rows = _piece_table(w.rank, w.letters, DEFAULT_VERTEX_SET)
-    best = [-1] * (n + 1)
-    back = [0] * (n + 1)
-    best[0] = 0
-    for j in range(1, n + 1):
-        top, arg = -1, 0
-        for i in range(j):
-            if best[i] >= 0 and (rows[i] >> j) & 1 and best[i] + 1 > top:
-                top, arg = best[i] + 1, i
-        best[j], back[j] = top, arg
-    if n == 0 or best[n] <= 0:
+    cuts = [0]
+    while (stop := _simple_stop(w.rank, w.letters, cuts[-1])) is not None:
+        cuts.append(stop)
+    if len(cuts) == 1:
         return SimpleLengthWitness(0, ())
-    pieces = []
-    j = n
-    while j > 0:
-        i = back[j]
-        pieces.append(subword(w, i, j))
-        j = i
-    return SimpleLengthWitness(best[n], tuple(reversed(pieces)))
+    cuts[-1] = len(w)
+    return SimpleLengthWitness(
+        len(cuts) - 1, tuple(subword(w, i, j) for i, j in zip(cuts, cuts[1:]))
+    )
 
 
 def simple_length_bruteforce(w: ReducedWord, cap: int = 14) -> int:
@@ -270,8 +237,8 @@ def simple_length_bruteforce(w: ReducedWord, cap: int = 14) -> int:
     Walks the full tree of 2^(n-1) letterwise splits depth first; a
     branch is dropped as soon as its current piece has a cut vertex,
     which discards only splits that already fail to qualify.  Pieces are
-    judged through the public graph constructor rather than the internal
-    piece table.
+    judged through the public graph constructor rather than the greedy
+    scan.
     """
     n = len(w)
     if n > cap:
@@ -304,22 +271,16 @@ def simple_length_bruteforce(w: ReducedWord, cap: int = 14) -> int:
 def subword_simple_lengths(w: ReducedWord) -> dict[tuple[int, int], int]:
     """Simple length of every nonempty contiguous subword, keyed (start, stop).
 
-    One pass per left end reuses the shared piece table, so the whole
-    table costs O(n^3) rather than n^2 independent runs.
+    One greedy stop per start; the subword [i, j) then has
+    1 + count(stop(i), j) pieces when stop(i) <= j and none otherwise,
+    so the table costs O(n^2), the size of its output.
     """
     n = len(w)
-    rows = _piece_table(w.rank, w.letters, DEFAULT_VERTEX_SET)
     out: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        best = [-1] * (n + 1)
-        best[i] = 0
+    for i in range(n - 1, -1, -1):
+        s = _simple_stop(w.rank, w.letters, i)
         for j in range(i + 1, n + 1):
-            top = -1
-            for m in range(i, j):
-                if best[m] >= 0 and (rows[m] >> j) & 1 and best[m] + 1 > top:
-                    top = best[m] + 1
-            best[j] = top
-            out[(i, j)] = top if top > 0 else 0
+            out[(i, j)] = 1 + out.get((s, j), 0) if s is not None and s <= j else 0
     return out
 
 

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator
 from .errors import ParseError, RankError
 
 __all__ = [
-    "Generator",
     "ReducedWord",
     "reduce",
     "concat",
@@ -28,33 +27,6 @@ __all__ = [
     "format_word",
     "format_compact",
 ]
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A single basis letter: index in ``1..rank``, sign +1 or -1."""
-
-    index: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise RankError(f"generator index must be positive, got {self.index}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"generator sign must be +1 or -1, got {self.sign}")
-
-    @classmethod
-    def from_letter(cls, letter: int) -> "Generator":
-        if letter == 0:
-            raise RankError("0 is not a letter")
-        return cls(abs(letter), 1 if letter > 0 else -1)
-
-    @property
-    def letter(self) -> int:
-        return self.index * self.sign
-
-    def inverse(self) -> "Generator":
-        return Generator(self.index, -self.sign)
 
 
 @dataclass(frozen=True)
@@ -87,10 +59,6 @@ class ReducedWord:
     @property
     def is_identity(self) -> bool:
         return not self.letters
-
-    def generators(self) -> Iterator[Generator]:
-        for a in self.letters:
-            yield Generator.from_letter(a)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -65,7 +65,7 @@ def test_criterion_2_simple_length_oracle(g2_corpus, random_corpus):
     for w in random_corpus:
         assert simple_length(w).value == simple_length_bruteforce(w), str(w)
     print(
-        "criterion 2: PASS - dynamic program matches enumeration on "
+        "criterion 2: PASS - simple length matches enumeration on "
         f"{len(g2_corpus)} exhaustive and {len(random_corpus)} random words"
     )
 

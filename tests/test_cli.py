@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction
 
+from helpers import random_reduced_word
+
 from spotdisk.cli import main
+from spotdisk.words import format_word
 
 
 def run(capsys, *argv):
@@ -21,6 +25,15 @@ def test_wg_cut_free_word_verdict(capsys):
     assert code == 0
     assert "cut vertex: no" in out
     assert "edges: 4" in out
+
+
+def test_wg_deep_graph_has_no_recursion_limit(capsys):
+    # 1,600 vertices: a depth-first search deeper than the recursion limit
+    word = format_word(random_reduced_word(random.Random(800), 800, 4000))
+    code, out, err = run(capsys, "wg", word, "--rank", "800")
+    assert code == 0
+    assert "cut vertex: " in out
+    assert err == ""
 
 
 def test_wg_malformed_word(capsys):
@@ -202,3 +215,12 @@ def test_jobs_env_default(monkeypatch, capsys):
     code, out, _ = run(capsys, "qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1")
     assert code == 0
     assert "rows: 3" in out
+
+
+def test_qi_cert_rejects_nonpositive_jobs(capsys):
+    code, out, err = run(
+        capsys, "qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--jobs", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

@@ -6,7 +6,6 @@ import pytest
 from spotdisk.errors import CapExceeded
 from spotdisk.qicert import (
     PUSH_STEP_BUDGET_HIGH_RANK,
-    BtFamily,
     certify_grid,
     lambda_word,
     make_bt,
@@ -36,13 +35,6 @@ def test_make_bt_validation():
         make_bt(3, 1)
     with pytest.raises(ValueError):
         make_bt(4, 0)
-
-
-def test_bt_family_standard_and_validation():
-    family = BtFamily.standard(4, 3)
-    assert sorted(family.words) == [1, 2, 3]
-    with pytest.raises(ValueError):
-        BtFamily(4, {1: make_bt(4, 2)})
 
 
 def test_lambda_word_zero_vector_is_identity():
@@ -158,12 +150,6 @@ def test_grid_regression_baseline_n2():
 def test_grid_lower_bound_is_half_the_simple_length():
     for row in certify_grid(4, 1, 2):
         assert row.lower == Fraction(simple_length(row.relative_word).value, 2)
-
-
-def test_grid_parallel_rows_match_serial():
-    serial = certify_grid(4, 2, 1)
-    threaded = certify_grid(4, 2, 1, jobs=4)
-    assert serial == threaded
 
 
 def test_grid_length_cap():

@@ -76,16 +76,6 @@ def test_support_convention_differs_on_partial_support():
         has_cut_vertex(graph, vertex_set="other")
 
 
-def test_simple_length_honors_the_convention_switch(monkeypatch):
-    import spotdisk.whitehead as wh
-
-    word = parse("x1 x1 x1", 2)
-    assert simple_length(word).value == 0
-    monkeypatch.setattr(wh, "DEFAULT_VERTEX_SET", "support")
-    # two touched vertices joined by a double edge: no cut vertex there
-    assert wh.simple_length(word).value == 1
-
-
 def test_simple_length_identity_and_single_letter_are_zero():
     assert simple_length(ReducedWord.identity(2)).value == 0
     assert simple_length(parse("x1", 2)).value == 0
@@ -109,6 +99,10 @@ def test_witness_pieces_concatenate_and_pass_the_predicate():
         assert glued == w.letters
         for piece in witness.pieces:
             assert not has_cut_vertex(whitehead_graph(piece))
+        # every cut sits at the end of the shortest simple piece
+        for piece in witness.pieces[:-1]:
+            for end in range(1, len(piece)):
+                assert brute_has_cut_vertex(whitehead_graph(subword(piece, 0, end)))
 
 
 def test_simple_length_matches_bruteforce_exhaustively():
@@ -144,7 +138,7 @@ def test_subword_table_matches_direct_computation():
         table = subword_simple_lengths(w)
         assert len(table) == len(w) * (len(w) + 1) // 2
         for (i, j), value in table.items():
-            assert value == simple_length(subword(w, i, j)).value
+            assert value == simple_length_bruteforce(subword(w, i, j))
 
 
 def test_from_pairs_canonicalizes_and_validates():

@@ -5,7 +5,6 @@ from helpers import all_reduced_words, random_reduced_word
 
 from spotdisk.errors import ParseError, RankError
 from spotdisk.words import (
-    Generator,
     ReducedWord,
     concat,
     format_compact,
@@ -188,18 +187,6 @@ def test_parse_format_round_trip_random():
 def test_format_compact_refuses_large_indices():
     with pytest.raises(ValueError):
         format_compact(ReducedWord(27, (27,)))
-
-
-def test_generator_round_trip_and_validation():
-    g = Generator.from_letter(-3)
-    assert (g.index, g.sign) == (3, -1)
-    assert g.inverse().letter == 3
-    with pytest.raises(RankError):
-        Generator.from_letter(0)
-    with pytest.raises(ValueError):
-        Generator(1, 2)
-    w = parse("x1 X2", 3)
-    assert [gen.letter for gen in w.generators()] == [1, -2]
 
 
 def test_operator_sugar_matches_functions():
