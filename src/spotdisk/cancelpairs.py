@@ -174,23 +174,74 @@ def erased_simple_length(w: ReducedWord, family: CancellingFamily) -> int:
     return total
 
 
-def cr_lower_bound(w: ReducedWord, length_cap: int = DEFAULT_FAMILY_CAP) -> Fraction:
+def _keep_min(costs: dict[int, int], k: int, s: int) -> None:
+    if s < costs.get(k, s + 1):
+        costs[k] = s
+
+
+def _least_leftover_costs(w: ReducedWord) -> dict[int, int]:
+    """Map each pair count k of a nested family of ``w`` to the least
+    summed simple length S of the leftover segments.
+
+    Nested families are non-crossing arc diagrams, so an interval
+    dynamic program finds these minima without listing families.  For
+    every region [a, b) whose ends are cut (word ends or erased ranges),
+    ``h[a, b]`` maps k to the least S inside the region: with no pair
+    the region is one segment; otherwise the top-level pair ending last,
+    ([i1, j1), [i2, j2)), splits it into [a, i1), the nested region
+    [j1, i2) and a pair-free tail [j2, b).  ``tail[a, e]`` holds the
+    first two parts for pairs ending at e.  Regions are filled by
+    increasing length, so there is no recursion.  With P candidate pairs
+    and k at most n/2 the cost is O(n P k^2 + n^3 k).
+    """
+    n = len(w)
+    table = subword_simple_lengths(w)
+    ending: dict[int, list[CancellingPair]] = {}
+    for pair in _candidate_pairs(w):
+        ending.setdefault(pair.second[1], []).append(pair)
+
+    h: dict[tuple[int, int], dict[int, int]] = {}
+    tail: dict[tuple[int, int], dict[int, int]] = {}
+    for length in range(n + 1):
+        for a in range(n - length + 1):
+            b = a + length
+            last: dict[int, int] = {}
+            for pair in ending.get(b, ()):
+                (i1, j1), (i2, _) = pair.first, pair.second
+                if i1 < a:
+                    continue
+                inner = h[j1, i2]
+                for k1, s1 in h[a, i1].items():
+                    for k2, s2 in inner.items():
+                        _keep_min(last, k1 + k2 + 1, s1 + s2)
+            tail[a, b] = last
+            costs = {0: table.get((a, b), 0)}
+            for e in range(a + 1, b + 1):
+                gap = table.get((e, b), 0)
+                for k, s in tail[a, e].items():
+                    _keep_min(costs, k, s + gap)
+            h[a, b] = costs
+    return h[0, n]
+
+
+def cr_lower_bound(w: ReducedWord, length_cap: int = DEFAULT_CR_CAP) -> Fraction:
     """Erased-family lower bound for the conjugate-reduced length.
 
-    Minimizes max(pairs/2 - 1, erased/5 - 3) over every nested family,
-    floored at zero.
+    Minimizes max(k/2 - 1, (k + S)/5 - 3) over every nested family,
+    floored at zero, where k is the number of pairs and S the summed
+    simple length of the leftover segments.  For fixed k the score grows
+    with S, so only the least S per k matters; an interval dynamic
+    program over non-crossing pairs finds those in polynomial time
+    (``_least_leftover_costs``), where listing the families
+    (``enumerate_nested_families``, kept as the oracle) is exponential.
     """
-    if len(w) > length_cap:
-        raise CapExceeded(f"word length {len(w)} exceeds family enumeration cap {length_cap}")
-    table = subword_simple_lengths(w)
     n = len(w)
-    best: Fraction | None = None
-    for family in enumerate_nested_families(w, length_cap=length_cap):
-        erased = len(family.pairs) + sum(table[seg] for seg in _segments(n, family))
-        score = max(Fraction(len(family.pairs), 2) - 1, Fraction(erased, 5) - 3)
-        if best is None or score < best:
-            best = score
-    assert best is not None  # the empty family is always enumerated
+    if n > length_cap:
+        raise CapExceeded(f"word length {n} exceeds lower bound cap {length_cap}")
+    best = min(
+        max(Fraction(k, 2) - 1, Fraction(k + s, 5) - 3)
+        for k, s in _least_leftover_costs(w).items()
+    )
     return max(best, Fraction(0))
 
 

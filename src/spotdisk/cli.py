@@ -1,8 +1,9 @@
 """Command-line front end with deterministic text, CSV and DOT output.
 
-Exit codes: 0 success, 2 input error, 3 resource-cap error (1 is
-reserved for internal consistency failures).  Diagnostics go to stderr,
-results to stdout; identical inputs produce byte-identical output.
+Exit codes: 0 success, 2 input error, 3 resource-cap error, 1 internal
+failure (a consistency check or any other exception, reported as one
+``error: internal:`` line instead of a traceback).  Diagnostics go to
+stderr, results to stdout; identical inputs produce byte-identical output.
 ``qi-cert --jobs`` (default from SPOTDISK_JOBS) is accepted and validated
 for compatibility; rows are computed in one thread.
 """
@@ -30,7 +31,6 @@ class RunConfig:
 
     rank: int
     oracle_cap: int = 14
-    family_cap: int = 20
     max_ell: int = 3
     max_piece: int = 6
     max_conj: int = 3
@@ -42,7 +42,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.rank < 2:
             raise RankError(f"rank must be at least 2, got {self.rank}")
-        for name in ("oracle_cap", "family_cap", "max_ell", "length_cap", "jobs"):
+        for name in ("oracle_cap", "max_ell", "length_cap", "jobs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.max_piece < 0 or self.max_conj < 0:
@@ -103,7 +103,7 @@ def _cmd_cr_bounds(args: argparse.Namespace) -> int:
         max_conj=args.max_conj,
     )
     w = parse(args.word, config.rank)
-    lower = cancelpairs.cr_lower_bound(w, length_cap=config.family_cap)
+    lower = cancelpairs.cr_lower_bound(w)
     witness = cancelpairs.cr_bruteforce(
         w,
         max_ell=config.max_ell,
@@ -236,6 +236,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, RankError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

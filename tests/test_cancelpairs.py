@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_reduced_word
+from helpers import all_reduced_words, random_reduced_word
 
 from spotdisk.cancelpairs import (
     CancellingFamily,
+    _least_leftover_costs,
     CancellingPair,
     conjugate_product,
     cr_bruteforce,
@@ -16,7 +17,7 @@ from spotdisk.cancelpairs import (
     validate_family,
 )
 from spotdisk.errors import CapExceeded
-from spotdisk.whitehead import simple_length
+from spotdisk.whitehead import simple_length, subword_simple_lengths
 from spotdisk.words import ReducedWord, concat, inverse, parse
 
 
@@ -175,6 +176,40 @@ def test_cr_lower_bound_is_a_nonnegative_fraction():
         value = cr_lower_bound(w)
         assert isinstance(value, Fraction)
         assert value >= 0
+
+
+def enumerated_leftover_costs(w):
+    """Least leftover-segment cost per pair count, by listing every
+    nested family."""
+    table = subword_simple_lengths(w)
+    costs = {}
+    for family in enumerate_nested_families(w):
+        erased = {t for p in family.pairs for r in (p.first, p.second) for t in range(*r)}
+        cost, start = 0, None
+        for t in range(len(w) + 1):
+            if t < len(w) and t not in erased:
+                start = t if start is None else start
+            elif start is not None:
+                cost += table[(start, t)]
+                start = None
+        k = len(family.pairs)
+        costs[k] = min(cost, costs.get(k, cost))
+    return costs
+
+
+def test_cr_lower_bound_matches_family_enumeration():
+    # Below about 80 letters the bound itself is 0 (the empty family
+    # scores at most n/25 - 3), so the per-k costs carry the comparison.
+    words = list(all_reduced_words(2, 8))
+    rng = random.Random(308)
+    words += [
+        random_reduced_word(rng, rng.randint(2, 4), rng.randint(12, 18)) for _ in range(100)
+    ]
+    for w in words:
+        costs = enumerated_leftover_costs(w)
+        assert _least_leftover_costs(w) == costs, str(w)
+        best = min(max(Fraction(k, 2) - 1, Fraction(k + s, 5) - 3) for k, s in costs.items())
+        assert cr_lower_bound(w) == max(best, Fraction(0)), str(w)
 
 
 def test_cr_bruteforce_identity():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from helpers import random_reduced_word
 
+from spotdisk import cancelpairs
 from spotdisk.cli import main
 from spotdisk.words import format_word
 
@@ -89,10 +90,30 @@ def test_cr_bounds_sandwich_line(capsys):
 
 
 def test_cr_bounds_cap_exceeded(capsys):
-    long_word = " ".join(["x1 x2"] * 11)
+    long_word = " ".join(["x1 x2"] * 17)
     code, _, err = run(capsys, "cr-bounds", long_word, "--rank", "2")
     assert code == 3
     assert "error" in err
+
+
+def test_cr_bounds_accepts_words_up_to_32_letters(capsys):
+    for length in (22, 32):
+        word = format_word(random_reduced_word(random.Random(length), 2, length))
+        code, out, err = run(capsys, "cr-bounds", word, "--rank", "2")
+        assert code == 0, err
+        lower, mid, upper = out.split()
+        assert Fraction(lower) <= int(mid) <= int(upper)
+
+
+def test_unexpected_exception_is_one_line_exit_1(monkeypatch, capsys):
+    def broken(w):
+        raise RuntimeError("broken\nbound")
+
+    monkeypatch.setattr(cancelpairs, "cr_lower_bound", broken)
+    code, out, err = run(capsys, "cr-bounds", "x1 x2", "--rank", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal: RuntimeError: broken bound\n"
 
 
 def test_qi_cert_requires_rank_four(capsys):
