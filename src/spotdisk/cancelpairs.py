@@ -11,10 +11,10 @@ decomposition search approximates from above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from ._record import Record
 from .errors import CapExceeded
 from .whitehead import simple_length, subword_simple_lengths
 from .words import ReducedWord, concat, inverse, subword
@@ -34,22 +34,21 @@ DEFAULT_FAMILY_CAP = 20
 DEFAULT_CR_CAP = 32
 
 
-@dataclass(frozen=True)
-class CancellingPair:
+class CancellingPair(Record):
     """Two index ranges ``[i1, j1)``, ``[i2, j2)`` with ``j1 <= i2``; the
     letters of the first range must spell the inverse of the second."""
 
+    __slots__ = ("first", "second")
     first: tuple[int, int]
     second: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CancellingFamily:
+class CancellingFamily(Record):
+    __slots__ = ("pairs",)
     pairs: tuple[CancellingPair, ...]
 
 
-@dataclass(frozen=True)
-class ConjugateReducedWitness:
+class ConjugateReducedWitness(Record):
     """Conjugate-piece decomposition and its cost.
 
     ``decomposition`` lists pairs ``(v, u)``; the product of the
@@ -58,6 +57,7 @@ class ConjugateReducedWitness:
     lengths of the ``v`` pieces.
     """
 
+    __slots__ = ("value", "decomposition")
     value: int
     decomposition: tuple[tuple[ReducedWord, ReducedWord], ...]
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input error, 3 resource-cap error, 1 internal
 failure (a consistency check or any other exception, reported as one
-``error: internal:`` line instead of a traceback).  Diagnostics go to
+``error: internal:`` line instead of a traceback), 141 with nothing on
+stderr when the reader of stdout closes it early.  Diagnostics go to
 stderr, results to stdout; identical inputs produce byte-identical output.
 ``qi-cert --jobs`` (default from SPOTDISK_JOBS) is accepted and validated
 for compatibility; rows are computed in one thread.
@@ -13,40 +14,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import cancelpairs, pushcalc, qicert, torustree, whitehead
 from .errors import CapExceeded, ParseError, RankError
 from .words import format_word, parse
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 JOBS_ENV = "SPOTDISK_JOBS"
+# 128 + SIGPIPE, the status a shell reports for a writer whose reader left
+EXIT_BROKEN_PIPE = 141
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation knobs; caps must be positive."""
+def _check_rank(rank: int) -> None:
+    if rank < 2:
+        raise RankError(f"rank must be at least 2, got {rank}")
 
-    rank: int
-    oracle_cap: int = 14
-    max_ell: int = 3
-    max_piece: int = 6
-    max_conj: int = 3
-    length_cap: int = 600
-    jobs: int = 1
-    dot_path: str | None = None
-    csv_path: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise RankError(f"rank must be at least 2, got {self.rank}")
-        for name in ("oracle_cap", "max_ell", "length_cap", "jobs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.max_piece < 0 or self.max_conj < 0:
-            raise ValueError("search bounds must be nonnegative")
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
 
 
 def _default_jobs() -> int:
@@ -58,11 +46,11 @@ def _default_jobs() -> int:
 
 
 def _cmd_wg(args: argparse.Namespace) -> int:
-    config = RunConfig(rank=args.rank, dot_path=args.dot)
-    w = parse(args.word, config.rank)
+    _check_rank(args.rank)
+    w = parse(args.word, args.rank)
     graph = whitehead.whitehead_graph(w)
     print(f"word: {format_word(w)}")
-    print(f"rank: {config.rank}")
+    print(f"rank: {args.rank}")
     print("vertices: " + " ".join(whitehead.vertex_label(v) for v in graph.vertices))
     print(f"edges: {graph.edge_count}")
     for (u, v), mult in graph.edges:
@@ -72,21 +60,22 @@ def _cmd_wg(args: argparse.Namespace) -> int:
         )
     verdict = "yes" if whitehead.has_cut_vertex(graph) else "no"
     print(f"cut vertex: {verdict}")
-    if config.dot_path:
-        Path(config.dot_path).write_text(whitehead.to_dot(graph), encoding="utf-8")
+    if args.dot:
+        Path(args.dot).write_text(whitehead.to_dot(graph), encoding="utf-8")
     return 0
 
 
 def _cmd_simple_length(args: argparse.Namespace) -> int:
-    config = RunConfig(rank=args.rank, oracle_cap=args.oracle_cap)
-    w = parse(args.word, config.rank)
+    _check_rank(args.rank)
+    _check_positive("oracle_cap", args.oracle_cap)
+    w = parse(args.word, args.rank)
     witness = whitehead.simple_length(w)
     print(f"simple length: {witness.value}")
     if args.witness:
         for piece in witness.pieces:
             print(f"piece: {format_word(piece)}")
     if args.oracle:
-        check = whitehead.simple_length_bruteforce(w, cap=config.oracle_cap)
+        check = whitehead.simple_length_bruteforce(w, cap=args.oracle_cap)
         if check == witness.value:
             print("oracle: agree")
         else:
@@ -96,19 +85,14 @@ def _cmd_simple_length(args: argparse.Namespace) -> int:
 
 
 def _cmd_cr_bounds(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        rank=args.rank,
-        max_ell=args.max_ell,
-        max_piece=args.max_piece,
-        max_conj=args.max_conj,
-    )
-    w = parse(args.word, config.rank)
+    _check_rank(args.rank)
+    _check_positive("max_ell", args.max_ell)
+    if args.max_piece < 0 or args.max_conj < 0:
+        raise ValueError("search bounds must be nonnegative")
+    w = parse(args.word, args.rank)
     lower = cancelpairs.cr_lower_bound(w)
     witness = cancelpairs.cr_bruteforce(
-        w,
-        max_ell=config.max_ell,
-        max_piece=config.max_piece,
-        max_conj=config.max_conj,
+        w, max_ell=args.max_ell, max_piece=args.max_piece, max_conj=args.max_conj
     )
     simple = whitehead.simple_length(w).value
     print(f"{lower} {witness.value} {simple}")
@@ -123,32 +107,30 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
         raise RankError(
             f"certificates need rank at least {qicert.MIN_RANK}, got {args.rank}"
         )
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    config = RunConfig(
-        rank=args.rank, jobs=jobs, length_cap=args.length_cap, csv_path=args.csv
-    )
+    _check_positive("length_cap", args.length_cap)
+    _check_positive("jobs", args.jobs if args.jobs is not None else _default_jobs())
     rows = qicert.certify_grid(
-        config.rank,
+        args.rank,
         args.n,
         args.grid_max,
         budget=args.budget,
-        length_cap=config.length_cap,
+        length_cap=args.length_cap,
     )
-    text = qicert.to_csv(rows, config.rank)
+    text = qicert.to_csv(rows, args.rank)
     sys.stdout.write(text)
     summary = qicert.summarize(rows)
     print(f"rows: {summary.rows}")
     print(f"min ratio: {summary.min_ratio if summary.min_ratio is not None else '-'}")
     print(f"max ratio: {summary.max_ratio if summary.max_ratio is not None else '-'}")
-    if config.csv_path:
-        Path(config.csv_path).write_text(text, encoding="utf-8")
+    if args.csv:
+        Path(args.csv).write_text(text, encoding="utf-8")
     return 0
 
 
 def _cmd_push(args: argparse.Namespace) -> int:
-    config = RunConfig(rank=args.rank)
-    arc = pushcalc.ArcLabel(parse(args.arc, config.rank))
-    loop = parse(args.loop, config.rank)
+    _check_rank(args.rank)
+    arc = pushcalc.ArcLabel(parse(args.arc, args.rank))
+    loop = parse(args.loop, args.rank)
     pushed = pushcalc.push_arc(arc, loop)
     print(f"arc: {format_word(pushed.word)}")
     return 0
@@ -229,7 +211,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: end quietly, and send what is still
+        # buffered to the null device so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

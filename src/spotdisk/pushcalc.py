@@ -14,10 +14,10 @@ one-sided bounds are ever derived; no exact graph distance is exposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .errors import RankError
 from .whitehead import simple_length
 from .words import ReducedWord, concat, format_word, inverse
@@ -44,23 +44,23 @@ __all__ = [
 RULES = ("pointcommute", "crucial2", "distanceestimate", "isometric-relabel", "triangle")
 
 
-@dataclass(frozen=True)
-class ArcLabel:
+class ArcLabel(Record):
     """Arc between the two marked points, as an element of the ambient group."""
 
+    __slots__ = ("word",)
     word: ReducedWord
 
 
-@dataclass(frozen=True)
-class DiskLabel:
+class DiskLabel(Record):
     """Disk enclosing both marked points: a right coset of the cyclic
     subgroup generated by letter ``c_index``, held by its canonical
     representative (no leading power of that letter)."""
 
+    __slots__ = ("coset_rep", "c_index")
     coset_rep: ReducedWord
     c_index: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1 <= self.c_index <= self.coset_rep.rank:
             raise RankError(
                 f"coset letter index {self.c_index} outside rank {self.coset_rep.rank}"
@@ -76,11 +76,11 @@ class Side(Enum):
     SIDE2 = 2
 
 
-@dataclass(frozen=True)
-class PushLabel:
+class PushLabel(Record):
     """Two-sided push expression: ``[a, u]_2`` on side 2, ``[a^-1, u]_1``
     on side 1.  The base symbol is determined by the side."""
 
+    __slots__ = ("side", "word")
     side: Side
     word: ReducedWord
 
@@ -92,15 +92,15 @@ class PushLabel:
         return f"[{self.base},{format_word(self.word)}]_{self.side.value}"
 
 
-@dataclass(frozen=True)
-class SplittingLabel:
+class SplittingLabel(Record):
     """Generator of the rank-one factor in a free splitting of the
     one-larger free group: a word ``a u`` whose leading letter is the
     top basis letter, occurring exactly once."""
 
+    __slots__ = ("z_generator",)
     z_generator: ReducedWord
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         top = self.z_generator.rank
         letters = self.z_generator.letters
         if not letters or letters[0] != top:
@@ -122,27 +122,27 @@ class SplittingLabel:
         return ReducedWord(self.base_rank, self.z_generator.letters[1:])
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(Record):
+    __slots__ = ("rule", "note", "increment")
     rule: str
     note: str
     increment: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.rule not in RULES:
             raise ValueError(f"unknown bound rule {self.rule!r}")
         if self.increment < 0:
             raise ValueError(f"negative increment {self.increment}")
 
 
-@dataclass(frozen=True)
-class BoundTrace:
+class BoundTrace(Record):
     """Audit log of inequality steps; ``total`` is the derived bound."""
 
+    __slots__ = ("steps", "total")
     steps: tuple[TraceStep, ...]
     total: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.total != sum(step.increment for step in self.steps):
             raise ValueError("trace total differs from the sum of its increments")
 

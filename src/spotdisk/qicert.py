@@ -13,12 +13,12 @@ assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import CapExceeded
 from .pushcalc import BoundTrace, TraceStep
 from .whitehead import simple_length
@@ -134,10 +134,10 @@ def upper_bound(
     return BoundTrace(tuple(steps), sum(s.increment for s in steps))
 
 
-@dataclass(frozen=True)
-class CertificateRow:
+class CertificateRow(Record):
     """One grid pair: lower bound, upper bound, displacement and ratio."""
 
+    __slots__ = ("k", "l", "displacement", "relative_word", "lower", "upper", "ratio")
     k: tuple[int, ...]
     l: tuple[int, ...]
     displacement: int
@@ -146,7 +146,7 @@ class CertificateRow:
     upper: int
     ratio: Fraction | None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.displacement != sum(abs(a - b) for a, b in zip(self.k, self.l)):
             raise ValueError("displacement does not match the coordinate gap")
         want = self.lower / self.displacement if self.displacement else None
@@ -154,8 +154,8 @@ class CertificateRow:
             raise ValueError("ratio does not match lower/displacement")
 
 
-@dataclass(frozen=True)
-class GridSummary:
+class GridSummary(Record):
+    __slots__ = ("rows", "min_ratio", "max_ratio")
     rows: int
     min_ratio: Fraction | None
     max_ratio: Fraction | None

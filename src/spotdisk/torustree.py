@@ -8,18 +8,18 @@ truncation and path-from-root labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 __all__ = ["TorusDiskBall", "build_ball", "is_tree", "to_dot"]
 
 ROOT = "d"
 
 
-@dataclass(frozen=True)
-class TorusDiskBall:
+class TorusDiskBall(Record):
     """Truncated ball: a uniform tree of non-separating disks with
     separating leaves attached to every tree vertex."""
 
+    __slots__ = ("radius", "valency_cap", "leaf_count", "nonseparating", "separating", "edges")
     radius: int
     valency_cap: int
     leaf_count: int

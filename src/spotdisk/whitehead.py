@@ -19,9 +19,9 @@ and let the last piece absorb the remainder.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record
 from .errors import CapExceeded, RankError
 from .words import ReducedWord, subword
 
@@ -51,8 +51,7 @@ def vertex_label(v: int) -> str:
     return f"x{v}" if v > 0 else f"X{-v}"
 
 
-@dataclass(frozen=True)
-class WhiteheadGraph:
+class WhiteheadGraph(Record):
     """Multigraph on the 2g letter symbols.
 
     ``edges`` maps canonically ordered unordered vertex pairs to their
@@ -60,10 +59,11 @@ class WhiteheadGraph:
     reduced word and never affect connectivity.
     """
 
+    __slots__ = ("rank", "edges")
     rank: int
     edges: tuple[tuple[tuple[int, int], int], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.rank < 2:
             raise RankError(f"rank must be at least 2, got {self.rank}")
         seen: set[tuple[int, int]] = set()
@@ -107,10 +107,10 @@ class WhiteheadGraph:
         return adj
 
 
-@dataclass(frozen=True)
-class SimpleLengthWitness:
+class SimpleLengthWitness(Record):
     """Simple length together with a maximizing split (empty when 0)."""
 
+    __slots__ = ("value", "pieces")
     value: int
     pieces: tuple[ReducedWord, ...]
 

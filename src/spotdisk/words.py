@@ -10,9 +10,9 @@ identity.  Everything here is pure and safe for concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from ._record import Record, _set
 from .errors import ParseError, RankError
 
 __all__ = [
@@ -29,28 +29,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Record):
     """A freely reduced word over the rank-``rank`` basis.
 
     Construction rejects unreduced letter sequences; use :func:`reduce`
     to build a word from an arbitrary sequence.
     """
 
+    __slots__ = ("rank", "letters")
     rank: int
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rank < 2:
-            raise RankError(f"rank must be at least 2, got {self.rank}")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, rank: int, letters: Iterable[int] = ()) -> None:
+        if rank < 2:
+            raise RankError(f"rank must be at least 2, got {rank}")
+        letters = tuple(letters)
         for a in letters:
-            if a == 0 or abs(a) > self.rank:
-                raise RankError(f"letter {a} outside rank {self.rank}")
+            if a == 0 or abs(a) > rank:
+                raise RankError(f"letter {a} outside rank {rank}")
         for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError(f"letter sequence {letters} is not freely reduced")
+        _set(self, "rank", rank)
+        _set(self, "letters", letters)
 
     @classmethod
     def identity(cls, rank: int) -> "ReducedWord":

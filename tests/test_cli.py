@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from helpers import random_reduced_word
 
 from spotdisk import cancelpairs
@@ -8,10 +13,19 @@ from spotdisk.cli import main
 from spotdisk.words import format_word
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python_with_src(args, **kwargs):
+    """Run a fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
 
 
 def test_wg_single_letter_verdict(capsys):
@@ -245,3 +259,61 @@ def test_qi_cert_rejects_nonpositive_jobs(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+RANK_1 = "rank must be at least 2, got 1"
+BOUNDS = "search bounds must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("wg", "x1", "--rank", "1"), RANK_1),
+        (("simple-length", "x1", "--rank", "1"), RANK_1),
+        (("cr-bounds", "x1", "--rank", "1"), RANK_1),
+        (("push", "--rank", "1", "--arc", "x1", "--loop", "x1"), RANK_1),
+        (("simple-length", "x", "--rank", "2", "--oracle-cap", "0"), "oracle_cap must be positive"),
+        (("cr-bounds", "x1", "--rank", "2", "--max-ell", "0"), "max_ell must be positive"),
+        (("cr-bounds", "x1", "--rank", "2", "--max-piece", "-1"), BOUNDS),
+        (("cr-bounds", "x1", "--rank", "2", "--max-conj", "-1"), BOUNDS),
+        (
+            ("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--length-cap", "0"),
+            "length_cap must be positive",
+        ),
+        # a bad argument wins over the 32-letter cap's exit 3
+        (
+            ("cr-bounds", " ".join(["x1 x2"] * 17), "--rank", "2", "--max-ell", "0"),
+            "max_ell must be positive",
+        ),
+    ],
+)
+def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python_with_src(
+            ["-m", "spotdisk.cli", "qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    probe = (
+        "import sys; before = set(sys.modules); import spotdisk.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = python_with_src(["-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
