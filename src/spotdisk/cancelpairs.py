@@ -269,6 +269,8 @@ def cr_bruteforce(
         raise ValueError(f"max_ell must be at least 1, got {max_ell}")
     if max_piece < 0 or max_conj < 0:
         raise ValueError("search bounds must be nonnegative")
+    # every segment is nonempty, so no split has more than n of them
+    max_ell = min(max_ell, n)
     epsilon = ReducedWord.identity(w.rank)
     if n == 0:
         return ConjugateReducedWitness(0, ((epsilon, epsilon),))
@@ -312,7 +314,7 @@ def cr_bruteforce(
 
     # trivial fallback keeps the value at or below the simple length even
     # when every bounded split is infeasible
-    best_value = simple_length(w).value
+    best_value = table[(0, n)]
     best_decomp: tuple[tuple[ReducedWord, ReducedWord], ...] = ((w, epsilon),)
     for ell in range(1, max_ell + 1):
         if cost[n][ell] is None:

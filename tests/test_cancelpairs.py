@@ -263,3 +263,33 @@ def test_cr_bruteforce_caps_and_bounds():
         cr_bruteforce(ReducedWord(2, tuple([1, 2] * 17)))
     with pytest.raises(ValueError):
         cr_bruteforce(parse("x1", 2), max_ell=0)
+
+
+def _long_words():
+    rng = random.Random(308)
+    words = [random_reduced_word(rng, rank, 32) for rank in (2, 2, 2, 3, 4)]
+    return words + [ReducedWord(2, (1,) * 16 + (2,) + (-1,) * 15)]
+
+
+def test_cr_bruteforce_max_ell_beyond_the_length_changes_nothing():
+    segments = 0
+    for w in _long_words():
+        n = len(w)
+        witness = cr_bruteforce(w, max_ell=n)
+        for max_ell in (n + 1, 3000):
+            assert cr_bruteforce(w, max_ell=max_ell) == witness, (str(w), max_ell)
+        segments = max(segments, len(witness.decomposition))
+    assert segments > 3  # splits past the default max_ell of 3 occur
+
+
+def test_cr_bruteforce_fallback_comes_from_the_subword_table(monkeypatch):
+    import spotdisk.cancelpairs as cancelpairs
+
+    monkeypatch.setattr(cancelpairs, "simple_length", None)
+    for w in _long_words():
+        simple = subword_simple_lengths(w)[(0, len(w))]
+        assert cr_bruteforce(w).value <= simple
+        # no piece of length 0 exists, so only the one-factor fallback is left
+        fallback = cr_bruteforce(w, max_piece=0)
+        assert fallback.value == simple
+        assert fallback.decomposition == ((w, ReducedWord.identity(w.rank)),)

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from spotdisk.errors import CapExceeded
 from spotdisk.qicert import (
     PUSH_STEP_BUDGET_HIGH_RANK,
+    CertificateRow,
     certify_grid,
     lambda_word,
     make_bt,
@@ -204,3 +206,66 @@ def test_grid_word_example_expected_text():
     assert format_word(relative_word(4, 1, (0,), (1,))) == format_word(make_bt(4, 1))
     rel = relative_word(4, 1, (1,), (0,))
     assert rel == inverse(make_bt(4, 1))
+
+
+def _per_pair_csv(g, n, grid_max, ts, budget):
+    """Rows and CSV built pair by pair from the definitions."""
+    points = sorted(product(range(grid_max + 1), repeat=n))
+    rows = []
+    for idx, k in enumerate(points):
+        for ell in points[idx:]:
+            rel = relative_word(g, n, k, ell, ts)
+            lower = Fraction(simple_length(rel).value, 2)
+            displacement = sum(abs(a - b) for a, b in zip(k, ell))
+            rows.append(
+                CertificateRow(
+                    k,
+                    ell,
+                    displacement,
+                    rel,
+                    lower,
+                    upper_bound(k, ell, budget).total,
+                    lower / displacement if displacement else None,
+                )
+            )
+    return rows, to_csv(rows, g)
+
+
+def test_grid_rows_match_the_per_pair_definitions():
+    cases = 0
+    for g in (4, 5, 6):
+        for n in (1, 2, 3):
+            for grid_max in range(3 if n == 3 else 4):
+                for ts in (None, (2, 1, 2)[:n]):
+                    for budget in (6, 4) if g == 6 else (6,):
+                        rows = certify_grid(g, n, grid_max, ts, budget=budget)
+                        want, want_csv = _per_pair_csv(g, n, grid_max, ts, budget)
+                        assert len(rows) == len(want)
+                        for row, ref in zip(rows, want):
+                            assert (row.k, row.l) == (ref.k, ref.l)
+                            assert row.relative_word == ref.relative_word
+                            assert row.lower == ref.lower
+                            assert row.upper == ref.upper
+                            assert row == ref
+                        assert to_csv(rows, g) == want_csv
+                        cases += 1
+    assert cases == 3 * 11 * 2 + 11 * 2
+
+
+def test_grid_scans_each_relative_word_once(monkeypatch):
+    import spotdisk.qicert as qicert
+
+    scanned = []
+
+    def counting(w):
+        scanned.append((w.rank, w.letters))
+        return simple_length(w)
+
+    monkeypatch.setattr(qicert, "simple_length", counting)
+    # 1 + sum_i m (m+1)^(2(n-i)) keys (k', l') for grid_max m; one scan
+    # per pair would make 325 and 378.
+    for args, calls in (((4, 2, 4), 105), ((4, 3, 2), 183)):
+        scanned.clear()
+        certify_grid(*args)
+        assert len(scanned) == calls
+        assert len(set(scanned)) == calls
