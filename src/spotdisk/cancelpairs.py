@@ -234,10 +234,16 @@ def cr_lower_bound(w: ReducedWord, length_cap: int = DEFAULT_CR_CAP) -> Fraction
     program over non-crossing pairs finds those in polynomial time
     (``_least_leftover_costs``), where listing the families
     (``enumerate_nested_families``, kept as the oracle) is exponential.
+
+    The empty family leaves the whole word, of simple length S0, and
+    scores max(-1, S0/5 - 3).  That is at most 0 when S0 <= 15, so the
+    bound is then 0 without the dynamic program.
     """
     n = len(w)
     if n > length_cap:
         raise CapExceeded(f"word length {n} exceeds lower bound cap {length_cap}")
+    if simple_length(w).value <= 15:
+        return Fraction(0)
     best = min(
         max(Fraction(k, 2) - 1, Fraction(k + s, 5) - 3)
         for k, s in _least_leftover_costs(w).items()

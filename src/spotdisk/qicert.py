@@ -25,6 +25,11 @@ reduced words, so :func:`certify_grid` builds each relative word, and
 scans its simple length, once per key (k', l') instead of once per
 pair: about m (m+1)^(2n-2) scans for grid_max m, against about
 (m+1)^(2n)/2 pairs.  :func:`relative_word` stays the per-pair definition.
+
+The upper bound of a row is the total of the :func:`upper_bound` trace,
+sum_i (budget*|k_i - l_i| + 8) = budget*displacement + 8n, and
+:func:`certify_grid` writes it in that closed form without building the
+3n trace steps; :func:`upper_bound` stays the trace that audits it.
 """
 
 from __future__ import annotations
@@ -71,8 +76,7 @@ def make_bt(g: int, t: int) -> ReducedWord:
     Length is (g+3)(t+1); all letters are positive, so the word is
     reduced as written.
     """
-    if g < MIN_RANK:
-        raise ValueError(f"push words need rank at least {MIN_RANK}, got {g}")
+    _check_rank(g)
     if t < 1:
         raise ValueError(f"push word index must be at least 1, got {t}")
     runs = list(range(1, g + 1)) + [1, 2, 1]
@@ -89,11 +93,17 @@ def _assignment(n: int, t_assignment: Sequence[int] | None) -> tuple[int, ...]:
     return ts
 
 
+def _check_rank(g: int) -> None:
+    if g < MIN_RANK:
+        raise ValueError(f"push words need rank at least {MIN_RANK}, got {g}")
+
+
 def lambda_word(
     g: int, n: int, k: Sequence[int], t_assignment: Sequence[int] | None = None
 ) -> ReducedWord:
     """Reduced push word of the lattice point k: the product of the
     coordinate push words raised to the coordinates."""
+    _check_rank(g)
     if n < 1:
         raise ValueError(f"need at least one coordinate, got {n}")
     k = tuple(k)
@@ -102,7 +112,8 @@ def lambda_word(
     ts = _assignment(n, t_assignment)
     out = ReducedWord.identity(g)
     for ki, t in zip(k, ts):
-        out = concat(out, power(make_bt(g, t), ki))
+        if ki:
+            out = concat(out, power(make_bt(g, t), ki))
     return out
 
 
@@ -190,12 +201,15 @@ def certify_grid(
 
     Push words are built once per point, and relative words and their
     lower bounds once per key (k', l') of the module docstring; the
-    displacement, upper bound and ratio are per row.
+    displacement, upper bound and ratio are per row.  The length cap is
+    checked from the push word lengths (g+3)(t+1), before any word is
+    built.
     """
+    _check_rank(g)
     if grid_max < 0:
         raise ValueError(f"grid_max must be nonnegative, got {grid_max}")
     ts = _assignment(n, t_assignment)
-    worst = 2 * grid_max * sum(len(make_bt(g, t)) for t in ts)
+    worst = 2 * grid_max * sum((g + 3) * (t + 1) for t in ts)
     if worst > length_cap:
         raise CapExceeded(
             f"worst-case relative word length {worst} exceeds cap {length_cap}"
@@ -220,13 +234,13 @@ def certify_grid(
             displacement = sum(abs(a - b) for a, b in zip(k, l))
             rows.append(
                 CertificateRow(
-                    k=k,
-                    l=l,
-                    displacement=displacement,
-                    relative_word=rel,
-                    lower=lower,
-                    upper=upper_bound(k, l, budget).total,
-                    ratio=lower / displacement if displacement else None,
+                    k,
+                    l,
+                    displacement,
+                    rel,
+                    lower,
+                    budget * displacement + 8 * n,
+                    lower / displacement if displacement else None,
                 )
             )
     return rows

@@ -14,6 +14,13 @@ On a fixed vertex set, adding edges never breaks two-connectivity, so a
 piece that contains a simple piece is simple.  The maximum split is
 therefore greedy: cut at the end of the shortest simple prefix, repeat,
 and let the last piece absorb the remainder.
+
+The scan gates the cut-vertex search on degrees: it runs only once every
+one of the 2g vertices has at least two distinct neighbours.  The gate
+is exact because 2g >= 4.  An isolated vertex already counts as a cut,
+and a vertex with exactly one neighbour makes that neighbour a cut
+vertex, since removing it strands the vertex away from the other
+2g - 2 >= 2.  So the gate skips only searches that would fail.
 """
 
 from __future__ import annotations
@@ -193,21 +200,24 @@ def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
     """Smallest j such that ``letters[start:j]`` is simple, or None.
 
     Adds one edge per letter; the cut-vertex check runs only when a new
-    distinct edge lands and every vertex already carries an edge, since
-    a repeated edge leaves the verdict as it was and an isolated vertex
-    always makes a cut.
+    distinct edge lands and every vertex already has two distinct
+    neighbours, since a repeated edge leaves the verdict as it was and a
+    vertex of degree below two always makes a cut (module docstring).
     """
     verts = tuple(range(1, rank + 1)) + tuple(range(-1, -rank - 1, -1))
     adj: dict[int, set[int]] = {v: set() for v in verts}
-    touched = 0
+    # vertices with at least two distinct neighbours
+    full = 0
     for j in range(start + 2, len(letters) + 1):
         u, v = letters[j - 2], -letters[j - 1]
-        if v in adj[u]:
+        adj_u = adj[u]
+        if v in adj_u:
             continue
-        touched += (not adj[u]) + (not adj[v])
-        adj[u].add(v)
-        adj[v].add(u)
-        if touched == 2 * rank and not _cut_vertex_in(verts, adj, j - 1 - start):
+        adj_v = adj[v]
+        adj_u.add(v)
+        adj_v.add(u)
+        full += (len(adj_u) == 2) + (len(adj_v) == 2)
+        if full == 2 * rank and not _cut_vertex_in(verts, adj, j - 1 - start):
             return j
     return None
 

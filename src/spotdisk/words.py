@@ -5,6 +5,13 @@ Letters are nonzero signed integers: ``+i`` is the i-th basis generator
 immutable, always stored freely reduced, and carry their ambient rank;
 binary operations refuse mismatched ranks.  The empty word is the
 identity.  Everything here is pure and safe for concurrent use.
+
+Public construction, ``ReducedWord(rank, letters)``, validates the rank,
+every letter and free reduction.  Derived words are not validated again:
+the outputs of :func:`concat`, :func:`inverse`, :func:`subword`,
+:func:`power` and :func:`reduce` (after its own letter check) are
+reduced and in range by construction, so they go through the private
+``_trusted`` constructor, which only stores the fields.
 """
 
 from __future__ import annotations
@@ -80,6 +87,15 @@ class ReducedWord(Record):
         return format_word(self)
 
 
+def _trusted(rank: int, letters: tuple[int, ...]) -> ReducedWord:
+    """A word whose letters are reduced and within ``rank`` by
+    construction, stored without validation."""
+    w = object.__new__(ReducedWord)
+    _set(w, "rank", rank)
+    _set(w, "letters", letters)
+    return w
+
+
 def reduce(letters: Iterable[int], rank: int) -> ReducedWord:
     """Freely reduce a raw letter sequence.
 
@@ -96,7 +112,9 @@ def reduce(letters: Iterable[int], rank: int) -> ReducedWord:
             stack.pop()
         else:
             stack.append(a)
-    return ReducedWord(rank, tuple(stack))
+    if rank < 2:
+        raise RankError(f"rank must be at least 2, got {rank}")
+    return _trusted(rank, tuple(stack))
 
 
 def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
@@ -109,17 +127,17 @@ def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
             stack.pop()
         else:
             stack.append(a)
-    return ReducedWord(u.rank, tuple(stack))
+    return _trusted(u.rank, tuple(stack))
 
 
 def inverse(w: ReducedWord) -> ReducedWord:
     """Reversed sequence with flipped signs; reduced by construction."""
-    return ReducedWord(w.rank, tuple(-a for a in reversed(w.letters)))
+    return _trusted(w.rank, tuple(-a for a in reversed(w.letters)))
 
 
 def power(w: ReducedWord, n: int) -> ReducedWord:
     base = w if n >= 0 else inverse(w)
-    out = ReducedWord.identity(w.rank)
+    out = _trusted(w.rank, ())
     for _ in range(abs(n)):
         out = concat(out, base)
     return out
@@ -130,7 +148,7 @@ def subword(w: ReducedWord, start: int, stop: int) -> ReducedWord:
     reduced word)."""
     if not 0 <= start <= stop <= len(w):
         raise IndexError(f"subword range [{start}, {stop}) outside word of length {len(w)}")
-    return ReducedWord(w.rank, w.letters[start:stop])
+    return _trusted(w.rank, w.letters[start:stop])
 
 
 def subwords(w: ReducedWord) -> Iterator[tuple[int, int, ReducedWord]]:

@@ -212,6 +212,21 @@ def test_cr_lower_bound_matches_family_enumeration():
         assert cr_lower_bound(w) == max(best, Fraction(0)), str(w)
 
 
+def test_cr_lower_bound_past_the_early_exit_matches_the_dp():
+    # simple length 16 each: the commutator power has cancelling pairs,
+    # the positive word has none and so scores 16/5 - 3 = 1/5
+    words = [ReducedWord(2, (1, 2, -1, -2) * 20), ReducedWord(2, (1, 1, 2, 2) * 20)]
+    for w in words:
+        assert simple_length(w).value == 16
+        best = min(
+            max(Fraction(k, 2) - 1, Fraction(k + s, 5) - 3)
+            for k, s in _least_leftover_costs(w).items()
+        )
+        assert cr_lower_bound(w, length_cap=len(w)) == max(best, Fraction(0)), str(w)
+    assert cr_lower_bound(words[1], length_cap=80) == Fraction(1, 5)
+    assert cr_lower_bound(ReducedWord(2, (1, 1, 2, 2) * 19), length_cap=80) == 0
+
+
 def test_cr_bruteforce_identity():
     witness = cr_bruteforce(ReducedWord.identity(2))
     assert witness.value == 0

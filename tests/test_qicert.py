@@ -269,3 +269,34 @@ def test_grid_scans_each_relative_word_once(monkeypatch):
         certify_grid(*args)
         assert len(scanned) == calls
         assert len(set(scanned)) == calls
+
+
+def test_zero_exponents_build_no_push_word(monkeypatch):
+    import spotdisk.qicert as qicert
+
+    built = []
+
+    def counting(g, t):
+        built.append((g, t))
+        return make_bt(g, t)
+
+    monkeypatch.setattr(qicert, "make_bt", counting)
+    (row,) = certify_grid(4, 50, 0)
+    assert built == []
+    assert row.relative_word.is_identity
+    assert row.upper == upper_bound(row.k, row.l).total == 8 * 50
+    assert lambda_word(4, 3, (0, 2, 0)) == power(make_bt(4, 2), 2)
+    assert built == [(4, 2)]
+    with pytest.raises(ValueError):
+        certify_grid(3, 1, 0)
+    with pytest.raises(ValueError):  # the rank is checked before the cap
+        certify_grid(3, 1, 100)
+    with pytest.raises(ValueError):
+        lambda_word(3, 1, (0,))
+
+
+def test_grid_length_cap_uses_the_push_word_lengths():
+    # worst case 2 * grid_max * sum_i (g+3)(t_i+1) = 2 * 2 * (14 + 21) = 140
+    assert len(certify_grid(4, 2, 2, length_cap=140)) == 45
+    with pytest.raises(CapExceeded):
+        certify_grid(4, 2, 2, length_cap=139)

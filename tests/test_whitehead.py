@@ -3,6 +3,7 @@ import random
 import pytest
 from helpers import all_reduced_words, brute_has_cut_vertex, random_reduced_word
 
+from spotdisk import qicert, whitehead
 from spotdisk.errors import CapExceeded
 from spotdisk.whitehead import (
     WhiteheadGraph,
@@ -139,6 +140,52 @@ def test_subword_table_matches_direct_computation():
         assert len(table) == len(w) * (len(w) + 1) // 2
         for (i, j), value in table.items():
             assert value == simple_length_bruteforce(subword(w, i, j))
+
+
+def _shortest_simple_prefix(w, start):
+    """Removal-oracle version of the greedy stop: the smallest j with
+    w[start:j] free of cut vertices, or None."""
+    for j in range(start + 1, len(w) + 1):
+        if not brute_has_cut_vertex(whitehead_graph(subword(w, start, j))):
+            return j
+    return None
+
+
+def _gated_cut_vertex_search(monkeypatch):
+    """Make every cut-vertex search check the degree gate; return its call log."""
+    search = whitehead._cut_vertex_in
+    calls = []
+
+    def gated(verts, adj, edge_count):
+        assert all(len(adj[v]) >= 2 for v in verts)
+        calls.append(edge_count)
+        return search(verts, adj, edge_count)
+
+    monkeypatch.setattr(whitehead, "_cut_vertex_in", gated)
+    return calls
+
+
+def test_simple_stop_matches_the_prefix_oracle_behind_the_degree_gate(monkeypatch):
+    calls = _gated_cut_vertex_search(monkeypatch)
+    rng = random.Random(206)
+    for rank in range(2, 9):
+        outcomes = set()
+        for _ in range(30):
+            w = random_reduced_word(rng, rank, rng.randint(0, 6 * rank))
+            for start in {0, rng.randint(0, len(w))}:
+                stop = whitehead._simple_stop(rank, w.letters, start)
+                assert stop == _shortest_simple_prefix(w, start), (str(w), start)
+                outcomes.add(stop is None)
+        assert outcomes == {True, False}, rank
+    assert calls
+
+
+def test_degree_gate_cuts_the_searches_on_the_benchmark_grids(monkeypatch):
+    calls = _gated_cut_vertex_search(monkeypatch)
+    for args in ((4, 2, 4), (4, 3, 2)):
+        assert qicert.certify_grid(*args)
+    # the ungated scan searched 3,434 times on these two grids
+    assert len(calls) <= 1617
 
 
 def test_from_pairs_canonicalizes_and_validates():

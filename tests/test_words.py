@@ -196,3 +196,54 @@ def test_operator_sugar_matches_functions():
     assert ~u == inverse(u)
     assert u**2 == concat(u, u)
     assert str(u) == "x1 x2"
+
+
+def _not_cyclically_reduced(rng, rank):
+    """A conjugate p u p^-1 whose first and last letters are inverse."""
+    while True:
+        p = random_reduced_word(rng, rank, rng.randint(1, 3))
+        u = random_reduced_word(rng, rank, rng.randint(1, 6))
+        w = concat(concat(p, u), inverse(p))
+        if len(w) > 1 and w.letters[0] == -w.letters[-1]:
+            return w
+
+
+def test_derived_words_equal_their_validated_rebuild():
+    rng = random.Random(110)
+    cancelled = 0
+    for rank in range(2, 7):
+        alphabet = list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
+        for _ in range(40):
+            u = random_reduced_word(rng, rank, rng.randint(0, 12))
+            v = random_reduced_word(rng, rank, rng.randint(0, 12))
+            c = _not_cyclically_reduced(rng, rank)
+            raw = [rng.choice(alphabet) for _ in range(rng.randint(0, 16))]
+            outs = [
+                concat(u, v),
+                concat(u, inverse(u)),
+                concat(concat(u, v), inverse(v)),
+                inverse(u),
+                reduce(raw, rank),
+                reduce(u.letters + inverse(u).letters, rank),
+            ]
+            outs += [power(w, k) for w in (u, c) for k in range(-3, 4)]
+            outs += [subword(u, i, j) for i in range(len(u) + 1) for j in range(i, len(u) + 1)]
+            cancelled += len(power(c, 2)) < 2 * len(c)
+            for out in outs:
+                assert type(out) is ReducedWord
+                assert out == ReducedWord(rank, out.letters), (rank, out.letters)
+    assert cancelled == 5 * 40  # every power of c cancels across the seam
+
+
+def test_public_constructor_still_validates():
+    for rank in range(2, 7):
+        with pytest.raises(ValueError):
+            ReducedWord(rank, (1, 2, -2))
+        with pytest.raises(RankError):
+            ReducedWord(rank, (1, rank + 1))
+        with pytest.raises(RankError):
+            ReducedWord(rank, (0,))
+    with pytest.raises(RankError):
+        ReducedWord(1, ())
+    with pytest.raises(RankError):
+        reduce([], 1)
