@@ -25,6 +25,15 @@ reduced words, so :func:`certify_grid` builds each relative word, and
 scans its simple length, once per key (k', l') instead of once per
 pair: about m (m+1)^(2n-2) scans for grid_max m, against about
 (m+1)^(2n)/2 pairs.  :func:`relative_word` stays the per-pair definition.
+Each grid point gets its push word and that word's inverse once, so a
+relative word is one slice join of two stored words.
+
+The scans share a trie of the minimal simple pieces found so far (the
+``whitehead`` module docstring gives why its values are exact).  Few
+distinct pieces occur in a grid, so the greedy stop runs once per
+distinct piece, plus once per word whose last walk leaves the trie
+without a piece to find; every other stop is a walk down the trie.  The trie
+belongs to one :func:`certify_grid` call, and so to one rank.
 
 The upper bound of a row is the total of the :func:`upper_bound` trace,
 sum_i (budget*|k_i - l_i| + 8) = budget*displacement + 8n, and
@@ -42,7 +51,10 @@ from typing import Iterable, Sequence
 from ._record import Record
 from .errors import CapExceeded
 from .pushcalc import BoundTrace, TraceStep
-from .whitehead import simple_length
+# certify_grid scans through _trie_simple_length.  simple_length is not
+# called here, but perfbench/traced_cli.py wraps qicert.simple_length (and
+# counts qicert.concat) by name.
+from .whitehead import _trie_simple_length, simple_length  # noqa: F401
 from .words import ReducedWord, concat, inverse, power
 
 __all__ = [
@@ -199,8 +211,9 @@ def certify_grid(
     """Certificate rows for every unordered pair of points in
     {0..grid_max}^n, in lexicographic (k, l) order.
 
-    Push words are built once per point, and relative words and their
-    lower bounds once per key (k', l') of the module docstring; the
+    Push words and their inverses are built once per point, and
+    relative words and their lower bounds once per key (k', l') of the
+    module docstring, the lower bounds through this call's trie; the
     displacement, upper bound and ratio are per row.  The length cap is
     checked from the push word lengths (g+3)(t+1), before any word is
     built.
@@ -217,6 +230,8 @@ def certify_grid(
     points = sorted(product(range(grid_max + 1), repeat=n))
     zero = points[0]
     lattice = {p: lambda_word(g, n, p, ts) for p in points}
+    inverses = {p: inverse(w) for p, w in lattice.items()}
+    pieces: dict = {}
     lower_bounds: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[ReducedWord, Fraction]] = {}
     rows = []
     for idx, k in enumerate(points):
@@ -228,8 +243,9 @@ def certify_grid(
             )
             hit = lower_bounds.get(key)
             if hit is None:
-                rel = concat(inverse(lattice[key[0]]), lattice[key[1]])
-                hit = lower_bounds[key] = (rel, Fraction(simple_length(rel).value, 2))
+                rel = concat(inverses[key[0]], lattice[key[1]])
+                lower = Fraction(_trie_simple_length(pieces, g, rel.letters), 2)
+                hit = lower_bounds[key] = (rel, lower)
             rel, lower = hit
             displacement = sum(abs(a - b) for a, b in zip(k, l))
             rows.append(

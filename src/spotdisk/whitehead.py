@@ -21,6 +21,29 @@ is exact because 2g >= 4.  An isolated vertex already counts as a cut,
 and a vertex with exactly one neighbour makes that neighbour a cut
 vertex, since removing it strands the vertex away from the other
 2g - 2 >= 2.  So the gate skips only searches that would fail.
+
+Callers that scan many words of one rank, such as a qi-cert grid, can
+look the greedy stops up in a trie of minimal simple pieces instead
+(``_trie_simple_length``); this is the goto function of Aho and Corasick
+("Efficient string matching", CACM 1975) without failure links, because
+the scan restarts empty at each cut.  The stop from a cut p depends only
+on the letters from p on: it is p plus the length of the one minimal
+simple piece (a simple piece with no simple proper prefix) that starts
+there.  The trie holds the minimal pieces found so far, so every node is
+a prefix of one of them.  A minimal piece is not a proper prefix of
+another, since the longer one would then have a simple proper prefix;
+so terminals are leaves, and a node without children is exactly a
+terminal.  Walking the trie from p along the word:
+
+- a terminal at depth d is a minimal piece, so the stop is p + d;
+- a non-terminal node is a proper prefix of a minimal piece, so it is
+  not simple, and a word that ends on the trie path has no stop from p;
+- off the trie, ``_simple_stop`` runs once from p and its piece goes
+  into the trie.  It branches off the path below the last node walked,
+  since every node on that path is not simple.
+
+The values equal those of :func:`simple_length`, which stays the
+definition and the only source of witnesses.
 """
 
 from __future__ import annotations
@@ -220,6 +243,42 @@ def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
         if full == 2 * rank and not _cut_vertex_in(verts, adj, j - 1 - start):
             return j
     return None
+
+
+def _trie_simple_length(trie: dict, rank: int, letters: tuple[int, ...]) -> int:
+    """Simple length of a reduced word of rank ``rank``, with the greedy
+    stops looked up in ``trie``, a trie of the minimal simple pieces at
+    that rank, which this call extends.
+
+    A node is a dict from letter to child; a terminal is an empty dict
+    (module docstring).  The caller owns the trie: it must start empty
+    and serve one rank only.
+    """
+    n = len(letters)
+    count = start = 0
+    while start < n:
+        node, j = trie, start
+        while j < n:
+            node = node.get(letters[j])
+            if node is None:
+                break
+            j += 1
+            if not node:
+                break
+        else:
+            return count
+        if node is None:
+            stop = _simple_stop(rank, letters, start)
+            if stop is None:
+                return count
+            node = trie
+            for a in letters[start : stop - 1]:
+                node = node.setdefault(a, {})
+            node[letters[stop - 1]] = {}
+            j = stop
+        count += 1
+        start = j
+    return count
 
 
 def simple_length(w: ReducedWord) -> SimpleLengthWitness:

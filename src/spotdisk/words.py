@@ -12,6 +12,14 @@ the outputs of :func:`concat`, :func:`inverse`, :func:`subword`,
 :func:`power` and :func:`reduce` (after its own letter check) are
 reduced and in range by construction, so they go through the private
 ``_trusted`` constructor, which only stores the fields.
+
+Two reduced words cancel only where they meet, so :func:`concat` finds
+the longest tail of ``u`` that ``v`` starts by inverting and joins the
+two remaining slices; only the cancelling letters are compared one by
+one.  :func:`power` writes ``w = p c p^-1``
+with ``c`` cyclically reduced (its first and last letters are not
+inverse), so ``w^n = p c^n p^-1`` is one tuple repeat, reduced as
+written, instead of n - 1 products.
 """
 
 from __future__ import annotations
@@ -118,16 +126,14 @@ def reduce(letters: Iterable[int], rank: int) -> ReducedWord:
 
 
 def concat(u: ReducedWord, v: ReducedWord) -> ReducedWord:
-    """Reduced product ``u v``, read left to right."""
+    """Reduced product ``u v``, read left to right, as a slice join."""
     if u.rank != v.rank:
         raise RankError(f"rank mismatch: {u.rank} vs {v.rank}")
-    stack = list(u.letters)
-    for a in v.letters:
-        if stack and stack[-1] == -a:
-            stack.pop()
-        else:
-            stack.append(a)
-    return _trusted(u.rank, tuple(stack))
+    a, b = u.letters, v.letters
+    c, m = 0, min(len(a), len(b))
+    while c < m and a[-1 - c] == -b[c]:
+        c += 1
+    return _trusted(u.rank, a[: len(a) - c] + b[c:])
 
 
 def inverse(w: ReducedWord) -> ReducedWord:
@@ -136,11 +142,16 @@ def inverse(w: ReducedWord) -> ReducedWord:
 
 
 def power(w: ReducedWord, n: int) -> ReducedWord:
-    base = w if n >= 0 else inverse(w)
-    out = _trusted(w.rank, ())
-    for _ in range(abs(n)):
-        out = concat(out, base)
-    return out
+    """``w`` to the n-th power, for any integer n: ``p c^|n| p^-1`` for
+    ``w^sign(n) = p c p^-1`` with ``c`` cyclically reduced."""
+    letters = (w if n >= 0 else inverse(w)).letters
+    if not n or not letters:
+        return _trusted(w.rank, ())
+    k, last = 0, len(letters) - 1
+    while k < last - k and letters[k] == -letters[last - k]:
+        k += 1
+    core = letters[k : last + 1 - k]
+    return _trusted(w.rank, letters[:k] + core * abs(n) + letters[last + 1 - k :])
 
 
 def subword(w: ReducedWord, start: int, stop: int) -> ReducedWord:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from helpers import random_reduced_word
 
 from spotdisk.errors import CapExceeded
 from spotdisk.qicert import (
@@ -254,21 +255,40 @@ def test_grid_rows_match_the_per_pair_definitions():
 
 def test_grid_scans_each_relative_word_once(monkeypatch):
     import spotdisk.qicert as qicert
+    import spotdisk.whitehead as whitehead
 
     scanned = []
+    counts = {"stops": 0, "searches": 0}
+    trie_simple_length = qicert._trie_simple_length
+    simple_stop = whitehead._simple_stop
+    cut_vertex_in = whitehead._cut_vertex_in
 
-    def counting(w):
-        scanned.append((w.rank, w.letters))
-        return simple_length(w)
+    def counting(trie, rank, letters):
+        scanned.append((rank, letters))
+        return trie_simple_length(trie, rank, letters)
 
-    monkeypatch.setattr(qicert, "simple_length", counting)
+    def counting_stop(*args):
+        counts["stops"] += 1
+        return simple_stop(*args)
+
+    def counting_search(*args):
+        counts["searches"] += 1
+        return cut_vertex_in(*args)
+
+    monkeypatch.setattr(qicert, "_trie_simple_length", counting)
+    monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
+    monkeypatch.setattr(whitehead, "_cut_vertex_in", counting_search)
     # 1 + sum_i m (m+1)^(2(n-i)) keys (k', l') for grid_max m; one scan
-    # per pair would make 325 and 378.
-    for args, calls in (((4, 2, 4), 105), ((4, 3, 2), 183)):
+    # per pair would make 325 and 378.  The trie runs the greedy stop
+    # once per distinct minimal piece plus once per miss.
+    for args, calls, stops in (((4, 2, 4), 105, 13), ((4, 3, 2), 183, 27)):
         scanned.clear()
+        counts["stops"] = 0
         certify_grid(*args)
         assert len(scanned) == calls
         assert len(set(scanned)) == calls
+        assert counts["stops"] == stops
+    assert counts["searches"] <= 32
 
 
 def test_zero_exponents_build_no_push_word(monkeypatch):
@@ -300,3 +320,61 @@ def test_grid_length_cap_uses_the_push_word_lengths():
     assert len(certify_grid(4, 2, 2, length_cap=140)) == 45
     with pytest.raises(CapExceeded):
         certify_grid(4, 2, 2, length_cap=139)
+
+
+def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
+    import spotdisk.qicert as qicert
+    import spotdisk.whitehead as whitehead
+
+    seen = []
+    stops = []
+    trie_simple_length = qicert._trie_simple_length
+    simple_stop = whitehead._simple_stop
+
+    def recording(trie, rank, letters):
+        value = trie_simple_length(trie, rank, letters)
+        seen.append((rank, letters, value))
+        return value
+
+    def counting_stop(*args):
+        stops.append(args)
+        return simple_stop(*args)
+
+    monkeypatch.setattr(qicert, "_trie_simple_length", recording)
+    monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
+    keys = 0
+    first_stops = {}
+    for g in (4, 5, 6):
+        for n, grid_max in ((2, 8), (3, 3)):
+            for ts in (None, (2, 1, 2)[:n], (1,) * n):
+                seen.clear()
+                stops.clear()
+                certify_grid(g, n, grid_max, ts, length_cap=10**6)
+                first_stops[g, n, ts] = len(stops)
+                for rank, letters, value in seen:
+                    assert value == simple_length(ReducedWord(rank, letters)).value
+                keys += len(seen)
+    assert keys == 3 * 3 * (1 + 8 * 9**2 + 8 + 1 + 3 * 4**4 + 3 * 4**2 + 3)
+    # Each call starts from an empty trie: after every grid above, a
+    # rank-4 and a rank-6 grid again run the greedy stop as often as the
+    # first time.
+    for g in (4, 6):
+        stops.clear()
+        certify_grid(g, 2, 8, length_cap=10**6)
+        assert len(stops) == first_stops[g, 2, None]
+
+
+def test_trie_walk_matches_simple_length_on_every_prefix():
+    from spotdisk.whitehead import _trie_simple_length
+
+    # One trie per rank, fed every prefix of each word shortest first, so
+    # walks end on a trie path as well as at a terminal or off the trie.
+    rng = random.Random(512)
+    for rank in range(2, 7):
+        trie = {}
+        for _ in range(6):
+            w = random_reduced_word(rng, rank, rng.randint(20, 80))
+            for j in range(len(w) + 1):
+                prefix = w.letters[:j]
+                want = simple_length(ReducedWord(rank, prefix)).value
+                assert _trie_simple_length(trie, rank, prefix) == want

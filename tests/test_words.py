@@ -122,6 +122,20 @@ def test_power_matches_repeated_concat():
     assert power(w, -2) == inverse(power(w, 2))
 
 
+def test_power_matches_repeated_concat_on_seeded_words():
+    rng = random.Random(111)
+    for rank in range(2, 7):
+        words = [parse("x1 x2 X1", rank), parse("x1 X2 x1 x2 X1", rank)]
+        words += [random_reduced_word(rng, rank, rng.randint(0, 10)) for _ in range(12)]
+        words += [_not_cyclically_reduced(rng, rank) for _ in range(12)]
+        for w in words:
+            for d in range(-5, 6):
+                want = ReducedWord.identity(rank)
+                for _ in range(abs(d)):
+                    want = concat(want, w if d > 0 else inverse(w))
+                assert power(w, d) == want, (rank, w.letters, d)
+
+
 def test_subword_counts():
     w = parse("x1 x2 x1", 2)
     entries = list(subwords(w))
