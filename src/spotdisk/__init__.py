@@ -8,7 +8,6 @@ from .cancelpairs import (
     cr_bruteforce,
     cr_lower_bound,
     enumerate_nested_families,
-    erased_simple_length,
 )
 from .errors import CapExceeded, ParseError, RankError
 from .pushcalc import (

@@ -17,15 +17,13 @@ from typing import Iterator
 from ._record import Record
 from .errors import CapExceeded
 from .whitehead import simple_length, subword_simple_lengths
-from .words import ReducedWord, concat, inverse, subword
+from .words import ReducedWord, subword
 
 __all__ = [
     "CancellingPair",
     "CancellingFamily",
     "ConjugateReducedWitness",
-    "validate_family",
     "enumerate_nested_families",
-    "erased_simple_length",
     "cr_lower_bound",
     "cr_bruteforce",
 ]
@@ -80,26 +78,6 @@ def _compatible(p: CancellingPair, q: CancellingPair) -> bool:
     ) == _between(p.second, q)
 
 
-def validate_family(w: ReducedWord, family: CancellingFamily) -> None:
-    """Raise ValueError unless ``family`` is a nested cancelling family of ``w``."""
-    n = len(w)
-    for pair in family.pairs:
-        (i1, j1), (i2, j2) = pair.first, pair.second
-        if not (0 <= i1 < j1 <= i2 < j2 <= n):
-            raise ValueError(f"invalid family: bad ranges in {pair}")
-        if j1 - i1 != j2 - i2:
-            raise ValueError(f"invalid family: unequal range lengths in {pair}")
-        if subword(w, i1, j1) != inverse(subword(w, i2, j2)):
-            raise ValueError(f"invalid family: ranges of {pair} are not mutually inverse")
-    pairs = family.pairs
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            if not _compatible(pairs[a], pairs[b]):
-                raise ValueError(
-                    f"invalid family: {pairs[a]} and {pairs[b]} overlap or cross"
-                )
-
-
 def _candidate_pairs(w: ReducedWord) -> list[CancellingPair]:
     letters = w.letters
     n = len(letters)
@@ -143,35 +121,6 @@ def enumerate_nested_families(
                 chosen.pop()
 
     yield from walk(0, [])
-
-
-def _segments(n: int, family: CancellingFamily) -> list[tuple[int, int]]:
-    """Maximal index ranges of the host word left after erasing the family."""
-    erased = sorted(
-        [p.first for p in family.pairs] + [p.second for p in family.pairs]
-    )
-    out = []
-    pos = 0
-    for start, stop in erased:
-        if pos < start:
-            out.append((pos, start))
-        pos = stop
-    if pos < n:
-        out.append((pos, n))
-    return out
-
-
-def erased_simple_length(w: ReducedWord, family: CancellingFamily) -> int:
-    """Number of pairs plus the simple lengths of the leftover segments.
-
-    Segments are measured as they stand, without re-reduction across the
-    erased gaps.
-    """
-    validate_family(w, family)
-    total = len(family.pairs)
-    for start, stop in _segments(len(w), family):
-        total += simple_length(subword(w, start, stop)).value
-    return total
 
 
 def _keep_min(costs: dict[int, int], k: int, s: int) -> None:
@@ -336,13 +285,3 @@ def cr_bruteforce(
             best_value = value
             best_decomp = tuple(reversed(pieces))
     return ConjugateReducedWitness(best_value, best_decomp)
-
-
-def conjugate_product(
-    decomposition: tuple[tuple[ReducedWord, ReducedWord], ...], rank: int
-) -> ReducedWord:
-    """Reduced product of the conjugates ``u^-1 v u`` of a decomposition."""
-    out = ReducedWord.identity(rank)
-    for v, u in decomposition:
-        out = concat(out, concat(concat(inverse(u), v), u))
-    return out

@@ -5,8 +5,8 @@ failure (a consistency check or any other exception, reported as one
 ``error: internal:`` line instead of a traceback), 141 with nothing on
 stderr when the reader of stdout closes it early.  Diagnostics go to
 stderr, results to stdout; identical inputs produce byte-identical output.
-``qi-cert --jobs`` (default from SPOTDISK_JOBS) is accepted and validated
-for compatibility; rows are computed in one thread.
+``qi-cert --jobs`` is accepted and validated for compatibility; rows are
+computed in one thread.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .words import format_word, parse
 
 __all__ = ["main"]
 
-JOBS_ENV = "SPOTDISK_JOBS"
 # 128 + SIGPIPE, the status a shell reports for a writer whose reader left
 EXIT_BROKEN_PIPE = 141
 
@@ -35,14 +34,6 @@ def _check_rank(rank: int) -> None:
 def _check_positive(name: str, value: int) -> None:
     if value < 1:
         raise ValueError(f"{name} must be positive")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _cmd_wg(args: argparse.Namespace) -> int:
@@ -108,7 +99,7 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
             f"certificates need rank at least {qicert.MIN_RANK}, got {args.rank}"
         )
     _check_positive("length_cap", args.length_cap)
-    _check_positive("jobs", args.jobs if args.jobs is not None else _default_jobs())
+    _check_positive("jobs", args.jobs)
     rows = qicert.certify_grid(
         args.rank,
         args.n,
@@ -188,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-power move cost (4 is valid from rank 6 on)",
     )
     p.add_argument("--csv", metavar="PATH", help="also write the CSV to a file")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--length-cap", type=int, default=qicert.DEFAULT_LENGTH_CAP)
     p.set_defaults(func=_cmd_qi_cert)
 

@@ -44,7 +44,6 @@ sum_i (budget*|k_i - l_i| + 8) = budget*displacement + 8n, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -80,7 +79,6 @@ MIN_RANK = 4
 DEFAULT_LENGTH_CAP = 600
 
 
-@lru_cache(maxsize=256)
 def make_bt(g: int, t: int) -> ReducedWord:
     """The t-th push word at rank g: consecutive (t+1)-st powers of the
     generators 1..g followed by powers of 1, 2, 1 again.

@@ -9,10 +9,13 @@ truncation and path-from-root labels.
 from __future__ import annotations
 
 from ._record import Record
+from .errors import CapExceeded
 
 __all__ = ["TorusDiskBall", "build_ball", "is_tree", "to_dot"]
 
 ROOT = "d"
+# Largest ball built: `torus-ball` at this size peaks near 350 MB.
+MAX_BALL_VERTICES = 1_000_000
 
 
 class TorusDiskBall(Record):
@@ -37,6 +40,8 @@ def build_ball(radius: int, tree_valency: int, leaf_count: int) -> TorusDiskBall
 
     Every non-separating vertex gets ``tree_valency`` tree children (a
     truncation of countably many) and ``leaf_count`` separating leaves.
+    A ball of more than MAX_BALL_VERTICES vertices raises CapExceeded
+    before anything is built.
 
     >>> ball = build_ball(1, 3, 0)
     >>> len(ball.vertices), len(ball.edges)
@@ -48,6 +53,16 @@ def build_ball(radius: int, tree_valency: int, leaf_count: int) -> TorusDiskBall
         raise ValueError(f"tree valency must be at least 1, got {tree_valency}")
     if leaf_count < 0:
         raise ValueError(f"leaf count must be nonnegative, got {leaf_count}")
+    # Level i holds valency^i tree vertices, each with its leaves.  Every
+    # level adds vertices, so the count stops within the cap's worth of levels.
+    size = level = 1 + leaf_count
+    for _ in range(radius):
+        if size > MAX_BALL_VERTICES:
+            break
+        level *= tree_valency
+        size += level
+    if size > MAX_BALL_VERTICES:
+        raise CapExceeded(f"ball has more than {MAX_BALL_VERTICES} vertices")
     nonsep = [ROOT]
     edges: list[tuple[str, str]] = []
     frontier = [ROOT]

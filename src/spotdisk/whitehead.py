@@ -158,7 +158,8 @@ def whitehead_graph(w: ReducedWord) -> WhiteheadGraph:
 
 
 def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]], edge_count: int) -> bool:
-    """Cut-vertex verdict for the multigraph restricted to ``verts``.
+    """Cut-vertex verdict for the multigraph on ``verts``, all 2g >= 4
+    vertices of its rank.
 
     True when there are fewer than MIN_EDGES_FOR_CUT_FREE edges, when the
     graph on ``verts`` is disconnected (isolated vertices included), or
@@ -169,9 +170,6 @@ def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]], edge_count:
     """
     if edge_count < MIN_EDGES_FOR_CUT_FREE:
         return True
-    n = len(verts)
-    if n <= 1:
-        return False
     root = verts[0]
     disc = {root: 0}
     low = {root: 0}
@@ -196,27 +194,19 @@ def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]], edge_count:
                 root_children += 1
             elif low[u] >= disc[parent]:
                 return True
-    return len(disc) != n or root_children > 1
+    return len(disc) != len(verts) or root_children > 1
 
 
-def has_cut_vertex(graph: WhiteheadGraph, vertex_set: str = "full") -> bool:
-    """Whether the graph fails two-connectivity on the chosen vertex set.
+def has_cut_vertex(graph: WhiteheadGraph) -> bool:
+    """Whether the graph fails two-connectivity on all 2g vertices.
 
-    ``"full"`` runs the check on all 2g vertices, so a word that never
-    uses some basis letter leaves isolated vertices and has a cut vertex;
-    ``"support"`` restricts it to vertices that carry at least one edge.
+    A word that never uses some basis letter leaves isolated vertices,
+    so its graph has a cut vertex.
 
     >>> has_cut_vertex(whitehead_graph(ReducedWord(2, (1,))))
     True
     """
-    if vertex_set not in ("full", "support"):
-        raise ValueError(f"unknown vertex set convention {vertex_set!r}")
-    adj = graph.adjacency()
-    if vertex_set == "full":
-        verts = graph.vertices
-    else:
-        verts = tuple(v for v in graph.vertices if adj[v])
-    return _cut_vertex_in(verts, adj, graph.edge_count)
+    return _cut_vertex_in(graph.vertices, graph.adjacency(), graph.edge_count)
 
 
 def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:

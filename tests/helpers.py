@@ -11,7 +11,7 @@ import random
 from typing import Iterator
 
 from spotdisk.whitehead import WhiteheadGraph
-from spotdisk.words import ReducedWord
+from spotdisk.words import ReducedWord, concat, inverse
 
 
 def all_reduced_words(rank: int, max_len: int) -> Iterator[ReducedWord]:
@@ -55,20 +55,16 @@ def _reachable(start: str | int, verts: set, adjacency: dict) -> set:
         seen = grown
 
 
-def brute_has_cut_vertex(graph: WhiteheadGraph, vertex_set: str = "full") -> bool:
-    """Exhaustive-removal cut-vertex verdict, independent of the package path."""
+def brute_has_cut_vertex(graph: WhiteheadGraph) -> bool:
+    """Exhaustive-removal cut-vertex verdict on all 2g vertices,
+    independent of the package path."""
     adjacency: dict[int, set[int]] = {}
     for (u, v), _ in graph.edges:
         if u != v:
             adjacency.setdefault(u, set()).add(v)
             adjacency.setdefault(v, set()).add(u)
-    if vertex_set == "full":
-        verts = set(graph.vertices)
-    else:
-        verts = set(adjacency)
+    verts = set(graph.vertices)
     if graph.edge_count < 2:
-        return True
-    if not verts:
         return True
     first = min(verts)
     if _reachable(first, verts, adjacency) != verts:
@@ -80,6 +76,17 @@ def brute_has_cut_vertex(graph: WhiteheadGraph, vertex_set: str = "full") -> boo
         if _reachable(min(rest), rest, adjacency) != rest:
             return True
     return False
+
+
+def conjugate_product(
+    decomposition: tuple[tuple[ReducedWord, ReducedWord], ...], rank: int
+) -> ReducedWord:
+    """Reduced product of the conjugates ``u^-1 v u`` of a decomposition,
+    the word a decomposition witness must multiply back to."""
+    out = ReducedWord.identity(rank)
+    for v, u in decomposition:
+        out = concat(out, concat(concat(inverse(u), v), u))
+    return out
 
 
 def tree_has_cycle(vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> bool:

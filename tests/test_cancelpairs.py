@@ -3,18 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import all_reduced_words, random_reduced_word
+from helpers import all_reduced_words, conjugate_product, random_reduced_word
 
 from spotdisk.cancelpairs import (
     CancellingFamily,
     _least_leftover_costs,
-    CancellingPair,
-    conjugate_product,
     cr_bruteforce,
     cr_lower_bound,
     enumerate_nested_families,
-    erased_simple_length,
-    validate_family,
 )
 from spotdisk.errors import CapExceeded
 from spotdisk.whitehead import simple_length, subword_simple_lengths
@@ -68,12 +64,6 @@ def as_frozen(family):
     return frozenset((p.first, p.second) for p in family.pairs)
 
 
-def test_single_letter_pair_is_valid():
-    w = parse("x1 x2 x1 X2 X1", 2)
-    family = CancellingFamily((CancellingPair((0, 1), (4, 5)),))
-    validate_family(w, family)
-
-
 def test_word_without_both_signs_only_has_the_empty_family():
     w = parse("x1 x2 x1", 2)
     families = list(enumerate_nested_families(w))
@@ -88,21 +78,25 @@ def test_families_match_naive_enumeration_on_fixed_words():
         assert ours == naive, text
 
 
-def test_families_match_naive_enumeration_on_random_words():
-    rng = random.Random(301)
-    for _ in range(40):
-        w = random_reduced_word(rng, 2, rng.randint(0, 6))
+def match_naive_enumeration(seed, count, max_len):
+    """Compare families on random rank-2 words; return the lengths seen."""
+    rng = random.Random(seed)
+    lengths = set()
+    for _ in range(count):
+        w = random_reduced_word(rng, 2, rng.randint(0, max_len))
+        lengths.add(len(w))
         ours = [as_frozen(f) for f in enumerate_nested_families(w)]
         assert len(ours) == len(set(ours))
         assert set(ours) == set(naive_families(w))
+    return lengths
 
 
-def test_every_enumerated_family_validates():
-    rng = random.Random(302)
-    for _ in range(30):
-        w = random_reduced_word(rng, 2, rng.randint(0, 8))
-        for family in enumerate_nested_families(w):
-            validate_family(w, family)
+def test_families_match_naive_enumeration_on_random_words():
+    match_naive_enumeration(301, 40, 6)
+
+
+def test_families_match_naive_enumeration_up_to_eight_letters():
+    assert {7, 8} <= match_naive_enumeration(302, 30, 8)
 
 
 def test_four_cycle_word_families_by_hand():
@@ -130,39 +124,11 @@ def test_enumeration_cap():
         list(enumerate_nested_families(w))
 
 
-def test_validate_family_rejects_bad_data():
-    w = parse("x1 x2 x1 X2 X1", 2)
-    with pytest.raises(ValueError):
-        validate_family(w, CancellingFamily((CancellingPair((0, 1), (1, 2)),)))
-    with pytest.raises(ValueError):
-        validate_family(w, CancellingFamily((CancellingPair((0, 1), (2, 3)),)))
-    with pytest.raises(ValueError):
-        validate_family(w, CancellingFamily((CancellingPair((0, 1), (4, 6)),)))
-    crossing = CancellingFamily(
-        (CancellingPair((0, 1), (2, 3)), CancellingPair((1, 2), (3, 4)))
-    )
-    with pytest.raises(ValueError):
-        validate_family(w, crossing)
-
-
-def test_erased_simple_length_with_empty_family_is_simple_length():
-    rng = random.Random(303)
-    for _ in range(50):
-        w = random_reduced_word(rng, 2, rng.randint(0, 10))
-        assert erased_simple_length(w, CancellingFamily(())) == simple_length(w).value
-
-
-def test_erased_simple_length_hand_values():
+def test_least_leftover_costs_hand_values():
     w = parse("x2 x1 x2 X1 X2", 2)
-    one_pair = CancellingFamily((CancellingPair((1, 2), (3, 4)),))
-    # erasing x1/X1 leaves segments x2 | x2 | X2, all of simple length 0
-    assert erased_simple_length(w, one_pair) == 1
-    long_pair = CancellingFamily((CancellingPair((0, 2), (3, 5)),))
-    assert erased_simple_length(w, long_pair) == 1
-    nested = CancellingFamily(
-        (CancellingPair((0, 1), (4, 5)), CancellingPair((1, 2), (3, 4)))
-    )
-    assert erased_simple_length(w, nested) == 2
+    # one pair: erasing x1/X1 leaves x2 | x2 | X2, all of simple length 0;
+    # two nested pairs leave only the middle x2
+    assert _least_leftover_costs(w) == {0: simple_length(w).value, 1: 0, 2: 0}
 
 
 def test_cr_lower_bound_identity_is_zero():

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from spotdisk.words import format_word
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACED_CLI = SRC.parent / "perfbench" / "traced_cli.py"
 
 
 def run(capsys, *argv):
@@ -245,11 +247,14 @@ def test_torus_ball_rejects_bad_arguments(capsys):
     assert "error" in err
 
 
-def test_jobs_env_default(monkeypatch, capsys):
-    monkeypatch.setenv("SPOTDISK_JOBS", "2")
-    code, out, _ = run(capsys, "qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1")
-    assert code == 0
-    assert "rows: 3" in out
+def test_torus_ball_over_the_vertex_cap_exits_3(capsys):
+    # 2^31 - 1 vertices: refused before any is built
+    code, out, err = run(
+        capsys, "torus-ball", "--radius", "30", "--valency", "2", "--leaves", "0"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_qi_cert_rejects_nonpositive_jobs(capsys):
@@ -317,3 +322,23 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     proc = python_with_src(["-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1"],
+        ["cr-bounds", "x1 x2 X1 X2 x1 x2", "--rank", "2"],
+        ["simple-length", "x1 x2 X1 X2 x1 x2 X1 X2", "--rank", "2", "--witness"],
+    ],
+)
+def test_benchmark_tracer_keeps_stdout(tmp_path, capsys, argv):
+    # The benchmark's tracer wraps library names by attribute; a renamed
+    # or removed name fails here instead of in a benchmark run.
+    spans = tmp_path / "spans.json"
+    proc = python_with_src([str(TRACED_CLI), str(spans), *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out.encode()
+    json.loads(spans.read_text(encoding="utf-8"))

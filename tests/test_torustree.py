@@ -1,6 +1,7 @@
 import pytest
 from helpers import tree_has_cycle
 
+from spotdisk.errors import CapExceeded
 from spotdisk.torustree import build_ball, is_tree, to_dot
 
 
@@ -44,6 +45,20 @@ def test_validation():
         build_ball(0, 0, 0)
     with pytest.raises(ValueError):
         build_ball(0, 1, -2)
+
+
+def test_vertex_cap_counts_tree_vertices_and_leaves(monkeypatch):
+    import spotdisk.torustree as torustree
+
+    # build_ball(2, 3, 2) has 13 tree vertices and 26 leaves
+    monkeypatch.setattr(torustree, "MAX_BALL_VERTICES", 39)
+    assert len(build_ball(2, 3, 2).vertices) == 39
+    for args in ((3, 3, 2), (2, 3, 3), (2, 4, 2), (10**9, 1, 0), (0, 1, 10**9)):
+        with pytest.raises(CapExceeded):
+            build_ball(*args)
+    monkeypatch.setattr(torustree, "MAX_BALL_VERTICES", 38)
+    with pytest.raises(CapExceeded):
+        build_ball(2, 3, 2)
 
 
 def test_dot_marks_separating_leaves():

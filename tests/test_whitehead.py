@@ -68,15 +68,6 @@ def test_cut_vertex_agrees_with_removal_oracle_random_rank3():
         assert has_cut_vertex(graph) == brute_has_cut_vertex(graph), str(w)
 
 
-def test_support_convention_differs_on_partial_support():
-    graph = whitehead_graph(parse("x1 x1 x1", 2))
-    assert has_cut_vertex(graph, vertex_set="full") is True
-    assert has_cut_vertex(graph, vertex_set="support") is False
-    assert brute_has_cut_vertex(graph, vertex_set="support") is False
-    with pytest.raises(ValueError):
-        has_cut_vertex(graph, vertex_set="other")
-
-
 def test_simple_length_identity_and_single_letter_are_zero():
     assert simple_length(ReducedWord.identity(2)).value == 0
     assert simple_length(parse("x1", 2)).value == 0
