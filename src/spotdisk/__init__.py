@@ -16,15 +16,11 @@ from .pushcalc import (
     DiskLabel,
     PushLabel,
     Side,
-    SplittingLabel,
     TraceStep,
     disk_normalize,
-    precompose_bound,
     push_arc,
     q_class,
-    simple_length_lower_bound,
     sphere_equiv_bound,
-    splitting_update,
 )
 from .qicert import (
     CertificateRow,

@@ -205,7 +205,6 @@ def cr_bruteforce(
     max_ell: int = 3,
     max_piece: int = 6,
     max_conj: int = 3,
-    length_cap: int = DEFAULT_CR_CAP,
 ) -> ConjugateReducedWitness:
     """Bounded search for a cheap conjugate-piece decomposition.
 
@@ -218,8 +217,8 @@ def cr_bruteforce(
     admitted, so the value never exceeds the simple length of ``w``.
     """
     n = len(w)
-    if n > length_cap:
-        raise CapExceeded(f"word length {n} exceeds decomposition search cap {length_cap}")
+    if n > DEFAULT_CR_CAP:
+        raise CapExceeded(f"word length {n} exceeds decomposition search cap {DEFAULT_CR_CAP}")
     if max_ell < 1:
         raise ValueError(f"max_ell must be at least 1, got {max_ell}")
     if max_piece < 0 or max_conj < 0:

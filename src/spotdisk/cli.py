@@ -25,10 +25,18 @@ __all__ = ["main"]
 # 128 + SIGPIPE, the status a shell reports for a writer whose reader left
 EXIT_BROKEN_PIPE = 141
 
+# Largest rank for the subcommands that build all 2·rank vertices (not push)
+MAX_RANK = 10_000
+
 
 def _check_rank(rank: int) -> None:
     if rank < 2:
         raise RankError(f"rank must be at least 2, got {rank}")
+
+
+def _check_rank_cap(rank: int) -> None:
+    if rank > MAX_RANK:
+        raise CapExceeded(f"rank {rank} exceeds cap {MAX_RANK}")
 
 
 def _check_positive(name: str, value: int) -> None:
@@ -38,6 +46,7 @@ def _check_positive(name: str, value: int) -> None:
 
 def _cmd_wg(args: argparse.Namespace) -> int:
     _check_rank(args.rank)
+    _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
     graph = whitehead.whitehead_graph(w)
     print(f"word: {format_word(w)}")
@@ -58,15 +67,15 @@ def _cmd_wg(args: argparse.Namespace) -> int:
 
 def _cmd_simple_length(args: argparse.Namespace) -> int:
     _check_rank(args.rank)
-    _check_positive("oracle_cap", args.oracle_cap)
+    _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
     witness = whitehead.simple_length(w)
+    check = whitehead.simple_length_bruteforce(w) if args.oracle else None  # cap before output
     print(f"simple length: {witness.value}")
     if args.witness:
         for piece in witness.pieces:
             print(f"piece: {format_word(piece)}")
     if args.oracle:
-        check = whitehead.simple_length_bruteforce(w, cap=args.oracle_cap)
         if check == witness.value:
             print("oracle: agree")
         else:
@@ -80,6 +89,7 @@ def _cmd_cr_bounds(args: argparse.Namespace) -> int:
     _check_positive("max_ell", args.max_ell)
     if args.max_piece < 0 or args.max_conj < 0:
         raise ValueError("search bounds must be nonnegative")
+    _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
     lower = cancelpairs.cr_lower_bound(w)
     witness = cancelpairs.cr_bruteforce(
@@ -100,6 +110,7 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
         )
     _check_positive("length_cap", args.length_cap)
     _check_positive("jobs", args.jobs)
+    _check_rank_cap(args.rank)
     rows = qicert.certify_grid(
         args.rank,
         args.n,
@@ -156,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--witness", action="store_true", help="print the maximizing pieces")
     p.add_argument("--oracle", action="store_true", help="cross-check by enumeration")
-    p.add_argument("--oracle-cap", type=int, default=14)
     p.set_defaults(func=_cmd_simple_length)
 
     p = sub.add_parser("cr-bounds", help="conjugate-reduced length bounds")

@@ -15,11 +15,9 @@ one-sided bounds are ever derived; no exact graph distance is exposed.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 from ._record import Record
 from .errors import RankError
-from .whitehead import simple_length
 from .words import ReducedWord, concat, format_word, inverse
 
 __all__ = [
@@ -27,18 +25,13 @@ __all__ = [
     "DiskLabel",
     "Side",
     "PushLabel",
-    "SplittingLabel",
     "TraceStep",
     "BoundTrace",
     "RULES",
     "push_arc",
     "q_class",
     "disk_normalize",
-    "splitting_update",
     "sphere_equiv_bound",
-    "precompose_bound",
-    "simple_length_lower_bound",
-    "format_trace",
 ]
 
 RULES = ("pointcommute", "crucial2", "distanceestimate", "isometric-relabel", "triangle")
@@ -90,36 +83,6 @@ class PushLabel(Record):
 
     def __str__(self) -> str:
         return f"[{self.base},{format_word(self.word)}]_{self.side.value}"
-
-
-class SplittingLabel(Record):
-    """Generator of the rank-one factor in a free splitting of the
-    one-larger free group: a word ``a u`` whose leading letter is the
-    top basis letter, occurring exactly once."""
-
-    __slots__ = ("z_generator",)
-    z_generator: ReducedWord
-
-    def _check(self) -> None:
-        top = self.z_generator.rank
-        letters = self.z_generator.letters
-        if not letters or letters[0] != top:
-            raise ValueError("splitting generator must start with the top letter")
-        if sum(1 for a in letters if abs(a) == top) != 1:
-            raise ValueError("splitting generator must use the top letter exactly once")
-
-    @classmethod
-    def seed(cls, g: int) -> "SplittingLabel":
-        """Splitting defined by the base disk: generator ``a`` alone."""
-        return cls(ReducedWord(g + 1, (g + 1,)))
-
-    @property
-    def base_rank(self) -> int:
-        return self.z_generator.rank - 1
-
-    def tail(self) -> ReducedWord:
-        """The push history ``u`` with the leading letter stripped."""
-        return ReducedWord(self.base_rank, self.z_generator.letters[1:])
 
 
 class TraceStep(Record):
@@ -180,20 +143,6 @@ def disk_normalize(w: ReducedWord, c_index: int | None = None) -> DiskLabel:
     return DiskLabel(ReducedWord(w.rank, w.letters[i:]), c)
 
 
-def splitting_update(current: SplittingLabel, pushclass: ReducedWord) -> SplittingLabel:
-    """Splitting generator after pushing by ``pushclass``: the push
-    history is extended on the right inside the lower-rank subgroup."""
-    g = current.base_rank
-    if pushclass.rank == g + 1:
-        if any(abs(a) == g + 1 for a in pushclass.letters):
-            raise ValueError("push class must avoid the top letter")
-        pushclass = ReducedWord(g, pushclass.letters)
-    elif pushclass.rank != g:
-        raise RankError(f"push class rank {pushclass.rank} does not match base rank {g}")
-    new_tail = concat(current.tail(), pushclass)
-    return SplittingLabel(ReducedWord(g + 1, (g + 1,) + new_tail.letters))
-
-
 def sphere_equiv_bound(label1: PushLabel, label2: PushLabel) -> BoundTrace | None:
     """Bound for a two-sided pair of push expressions, when a rule applies.
 
@@ -210,52 +159,3 @@ def sphere_equiv_bound(label1: PushLabel, label2: PushLabel) -> BoundTrace | Non
         )
         return BoundTrace((step,), 2)
     return None
-
-
-def precompose_bound(
-    b1: ReducedWord, b2: ReducedWord, prefix: ReducedWord, base_bound: int
-) -> BoundTrace:
-    """Bound for the pair with a common prefix pushed in front of both words.
-
-    Starting from a known bound for ``([a,b1]_2, [a,b2]_2)``, the pair is
-    swapped to the opposite side, relabeled there by the reflected
-    inverse prefix at no cost, and swapped back, for a net cost of 8.
-    """
-    if b1.rank != b2.rank or b1.rank != prefix.rank:
-        raise RankError("prefix and base words must share one rank")
-    if base_bound < 0:
-        raise ValueError(f"base bound must be nonnegative, got {base_bound}")
-    steps = (
-        TraceStep(
-            "triangle",
-            f"assumed bound for ([a,{format_word(b1)}]_2, [a,{format_word(b2)}]_2)",
-            base_bound,
-        ),
-        TraceStep("pointcommute", "swap both labels to the opposite side", 4),
-        TraceStep(
-            "isometric-relabel",
-            f"absorb the prefix {format_word(prefix) or 'e'} by pushing the fixed side",
-            0,
-        ),
-        TraceStep("pointcommute", "swap both labels back", 4),
-    )
-    return BoundTrace(steps, base_bound + 8)
-
-
-def simple_length_lower_bound(w: ReducedWord) -> Fraction:
-    """Certified lower bound for the sphere-graph distance of two
-    enclosing spheres whose relative class is ``w``: half the simple
-    length, since a connecting path of length n allows simple length at
-    most 2n."""
-    return Fraction(simple_length(w).value, 2)
-
-
-def format_trace(trace: BoundTrace) -> str:
-    """Human-readable step table with running totals."""
-    lines = []
-    running = 0
-    for i, step in enumerate(trace.steps, 1):
-        running += step.increment
-        lines.append(f"step {i}: {step.rule} +{step.increment} -> {running}  ({step.note})")
-    lines.append(f"total: {trace.total}")
-    return "\n".join(lines) + "\n"

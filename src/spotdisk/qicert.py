@@ -148,8 +148,9 @@ def upper_bound(
 
     One transport step per coordinate, processed from the last
     coordinate inward: moving coordinate i costs ``budget`` per power
-    plus a flat 8 for carrying the move through the untouched prefix.
-    The trace total is sum_i (budget*|k_i - ell_i| + 8).
+    plus a flat 8 for carrying the move through the untouched prefix:
+    two opposite-side swaps of cost 4 around a free relabel of the fixed
+    side by the prefix.  The trace total is sum_i (budget*|k_i - ell_i| + 8).
     """
     k, ell = tuple(k), tuple(ell)
     if len(k) != len(ell):

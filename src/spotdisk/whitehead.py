@@ -70,6 +70,7 @@ __all__ = [
 # Degenerate multigraphs with fewer than this many edges always count as
 # having a cut vertex (single letters and two-letter words).
 MIN_EDGES_FOR_CUT_FREE = 2
+ORACLE_CAP = 14  # longest word simple_length_bruteforce accepts
 
 
 def _vkey(v: int) -> tuple[int, int]:
@@ -290,18 +291,19 @@ def simple_length(w: ReducedWord) -> SimpleLengthWitness:
     )
 
 
-def simple_length_bruteforce(w: ReducedWord, cap: int = 14) -> int:
+def simple_length_bruteforce(w: ReducedWord) -> int:
     """Independent check of :func:`simple_length` by explicit enumeration.
 
     Walks the full tree of 2^(n-1) letterwise splits depth first; a
     branch is dropped as soon as its current piece has a cut vertex,
     which discards only splits that already fail to qualify.  Pieces are
     judged through the public graph constructor rather than the greedy
-    scan.
+    scan.  Words longer than ``ORACLE_CAP`` letters raise
+    :class:`CapExceeded`, which bounds the walk at 2^(ORACLE_CAP-1) splits.
     """
     n = len(w)
-    if n > cap:
-        raise CapExceeded(f"word length {n} exceeds brute-force cap {cap}")
+    if n > ORACLE_CAP:
+        raise CapExceeded(f"word length {n} exceeds brute-force cap {ORACLE_CAP}")
     memo: dict[tuple[int, int], bool] = {}
 
     def simple_piece(i: int, j: int) -> bool:

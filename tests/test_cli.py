@@ -10,7 +10,7 @@ import pytest
 from helpers import random_reduced_word
 
 from spotdisk import cancelpairs
-from spotdisk.cli import main
+from spotdisk.cli import MAX_RANK, main
 from spotdisk.words import format_word
 
 
@@ -90,6 +90,49 @@ def test_simple_length_oracle_cap(capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+def test_simple_length_oracle_refuses_15_letters_before_any_output(capsys):
+    letters = ["x1", "x2", "X1", "X2"] * 4
+    code, out, _ = run(capsys, "simple-length", " ".join(letters[:14]), "--rank", "2", "--oracle")
+    assert code == 0
+    assert "oracle: agree" in out
+    code, out, err = run(capsys, "simple-length", " ".join(letters[:15]), "--rank", "2", "--oracle")
+    assert (code, out) == (3, "")
+    assert err == "error: word length 15 exceeds brute-force cap 14\n"
+
+
+def test_oracle_cap_is_no_longer_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simple-length", "x1", "--rank", "2", "--oracle", "--oracle-cap", "14"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --oracle-cap 14" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank", [MAX_RANK + 1, 30_000_000])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wg", "x1"),
+        ("simple-length", "x1"),
+        ("cr-bounds", "x1"),
+        ("qi-cert", "--n", "1", "--grid-max", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_rank_over_the_cap_exits_3_before_any_work(capsys, argv, rank):
+    code, out, err = run(capsys, *argv, "--rank", str(rank))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: rank {rank} exceeds cap {MAX_RANK}\n"
+
+
+def test_push_takes_a_rank_over_the_cap(capsys):
+    top = f"x{MAX_RANK + 1}"
+    code, out, err = run(capsys, "push", "--rank", str(MAX_RANK + 1), "--arc", "x1", "--loop", top)
+    assert code == 0
+    assert out == f"arc: x1 {top}\n"
+    assert err == ""
 
 
 def test_cr_bounds_identity(capsys):
@@ -277,7 +320,10 @@ BOUNDS = "search bounds must be nonnegative"
         (("simple-length", "x1", "--rank", "1"), RANK_1),
         (("cr-bounds", "x1", "--rank", "1"), RANK_1),
         (("push", "--rank", "1", "--arc", "x1", "--loop", "x1"), RANK_1),
-        (("simple-length", "x", "--rank", "2", "--oracle-cap", "0"), "oracle_cap must be positive"),
+        (
+            ("qi-cert", "--rank", "3", "--n", "1", "--grid-max", "1"),
+            "certificates need rank at least 4, got 3",
+        ),
         (("cr-bounds", "x1", "--rank", "2", "--max-ell", "0"), "max_ell must be positive"),
         (("cr-bounds", "x1", "--rank", "2", "--max-piece", "-1"), BOUNDS),
         (("cr-bounds", "x1", "--rank", "2", "--max-conj", "-1"), BOUNDS),
@@ -288,6 +334,11 @@ BOUNDS = "search bounds must be nonnegative"
         # a bad argument wins over the 32-letter cap's exit 3
         (
             ("cr-bounds", " ".join(["x1 x2"] * 17), "--rank", "2", "--max-ell", "0"),
+            "max_ell must be positive",
+        ),
+        # and over the rank cap's
+        (
+            ("cr-bounds", "x1", "--rank", str(MAX_RANK + 1), "--max-ell", "0"),
             "max_ell must be positive",
         ),
     ],

@@ -1,4 +1,5 @@
-"""Property tests for the ``cr-bounds`` command over generated words."""
+"""Property tests for the ``cr-bounds``, ``simple-length``, ``wg`` and
+``push`` commands over generated words and ranks."""
 
 import contextlib
 import io
@@ -6,17 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from spotdisk.cli import main
-from spotdisk.words import ReducedWord, format_word
+from spotdisk.cli import MAX_RANK, main
+from spotdisk.whitehead import ORACLE_CAP
+from spotdisk.words import ReducedWord, concat, format_word
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+# Rank 1 is below the least rank (exit 2), and MAX_RANK + 1 is over the
+# rank cap, which exits 3 before anything of size 2·rank is built.
+CLI_RANKS = st.sampled_from([1, 2, 3, 4, MAX_RANK + 1])
+
 
 @st.composite
-def reduced_words(draw):
-    rank = draw(st.integers(2, 4))
-    length = draw(st.integers(0, 34))
+def reduced_words(draw, max_length=34, rank=None):
+    if rank is None:
+        rank = draw(st.integers(2, 4))
+    length = draw(st.integers(0, max_length))
     alphabet = [*range(1, rank + 1), *range(-rank, 0)]
     letters = []
     for _ in range(length):
@@ -25,11 +32,40 @@ def reduced_words(draw):
     return ReducedWord(rank, tuple(letters))
 
 
+@st.composite
+def ranked_words(draw, max_length=34):
+    """A CLI rank and a word over at most the first four letters it admits
+    (two at rank 1, which exits 2 before the word is read)."""
+    rank = draw(CLI_RANKS)
+    return rank, draw(reduced_words(max_length, min(max(rank, 2), 4)))
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def expected_code(rank, capped=False):
+    """2 for a rank below 2, else 3 when a cap applies, else 0."""
+    if rank < 2:
+        return 2
+    return 3 if capped else 0
+
+
+def check_run(argv, code):
+    """Run ``argv`` twice: the exit code is ``code``, a failure writes no
+    stdout and one ``error:`` line, and both runs print the same bytes."""
+    got = run(argv)
+    assert got[0] == code, got[2]
+    if code:
+        assert got[1] == ""
+        assert got[2].startswith("error:") and got[2].count("\n") == 1
+    else:
+        assert got[2] == ""
+    assert run(argv) == got
+    return got[1]
 
 
 @hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
@@ -45,3 +81,36 @@ def test_cr_bounds_exits_by_cap_sandwiches_and_repeats(w):
         assert out == ""
         assert err.startswith("error:")
     assert run(argv) == (code, out, err)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+@hypothesis.given(ranked_words(max_length=ORACLE_CAP + 2), st.booleans())
+def test_simple_length_exits_by_cap_and_repeats(ranked, oracle):
+    rank, w = ranked
+    argv = ["simple-length", format_word(w), "--rank", str(rank)] + ["--oracle"] * oracle
+    code = expected_code(rank, capped=rank > MAX_RANK or oracle and len(w) > ORACLE_CAP)
+    out = check_run(argv, code)
+    if code == 0:
+        assert out.startswith("simple length: ")
+        assert ("oracle: agree" in out) == oracle
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+@hypothesis.given(ranked_words())
+def test_wg_exits_by_cap_and_repeats(ranked):
+    rank, w = ranked
+    argv = ["wg", format_word(w), "--rank", str(rank)]
+    out = check_run(argv, expected_code(rank, capped=rank > MAX_RANK))
+    assert out == "" or out.startswith(f"word: {format_word(w)}\n")
+
+
+@hypothesis.settings(max_examples=50, deadline=None, derandomize=True)
+@hypothesis.given(st.data())
+def test_push_is_uncapped_by_rank_and_repeats(data):
+    rank, arc = data.draw(ranked_words())
+    loop = data.draw(reduced_words(rank=arc.rank))
+    argv = ["push", "--rank", str(rank), "--arc", format_word(arc), "--loop", format_word(loop)]
+    out = check_run(argv, expected_code(rank))
+    if rank >= 2:
+        pushed = concat(ReducedWord(rank, arc.letters), ReducedWord(rank, loop.letters))
+        assert out == f"arc: {format_word(pushed)}\n"

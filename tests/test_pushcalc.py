@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from helpers import random_reduced_word
@@ -12,18 +11,12 @@ from spotdisk.pushcalc import (
     DiskLabel,
     PushLabel,
     Side,
-    SplittingLabel,
     TraceStep,
     disk_normalize,
-    format_trace,
-    precompose_bound,
     push_arc,
     q_class,
-    simple_length_lower_bound,
     sphere_equiv_bound,
-    splitting_update,
 )
-from spotdisk.whitehead import simple_length
 from spotdisk.words import ReducedWord, concat, inverse, parse, power
 
 
@@ -100,45 +93,6 @@ def test_disk_label_rejects_leading_coset_letter():
         DiskLabel(parse("x1", 2), 3)
 
 
-def test_splitting_seed_and_identity_update():
-    s = SplittingLabel.seed(4)
-    assert s.z_generator == ReducedWord(5, (5,))
-    assert splitting_update(s, ReducedWord.identity(4)) == s
-
-
-def test_splitting_update_direct_instance():
-    s = SplittingLabel.seed(4)
-    pushed = splitting_update(s, parse("x1 x2", 4))
-    assert pushed.z_generator == ReducedWord(5, (5, 1, 2))
-
-
-def test_splitting_updates_compose():
-    rng = random.Random(405)
-    for _ in range(300):
-        u = random_reduced_word(rng, 4, rng.randint(0, 8))
-        v = random_reduced_word(rng, 4, rng.randint(0, 8))
-        s = SplittingLabel.seed(4)
-        double = splitting_update(splitting_update(s, u), v)
-        single = splitting_update(s, concat(u, v))
-        assert double == single
-        assert double.z_generator.letters[0] == 5
-
-
-def test_splitting_update_rejects_top_letter():
-    s = SplittingLabel.seed(4)
-    with pytest.raises(ValueError):
-        splitting_update(s, ReducedWord(5, (5,)))
-    with pytest.raises(RankError):
-        splitting_update(s, ReducedWord(3, (1,)))
-
-
-def test_splitting_label_validation():
-    with pytest.raises(ValueError):
-        SplittingLabel(ReducedWord(5, (1, 5)))
-    with pytest.raises(ValueError):
-        SplittingLabel(ReducedWord(5, (5, 1, -5)))
-
-
 def test_sphere_equiv_bound_fires_on_the_swap_pattern():
     u = parse("x1 x2", 4)
     trace = sphere_equiv_bound(
@@ -170,43 +124,6 @@ def test_sphere_equiv_bound_rejects_non_matching_pairs():
     )
 
 
-def test_precompose_bound_adds_eight():
-    b1, b2 = parse("x1", 4), parse("x2", 4)
-    trace = precompose_bound(b1, b2, ReducedWord.identity(4), 0)
-    assert trace.total == 8
-    trace = precompose_bound(b1, b2, parse("x3", 4), 5)
-    assert trace.total == 13
-    assert [s.rule for s in trace.steps] == [
-        "triangle",
-        "pointcommute",
-        "isometric-relabel",
-        "pointcommute",
-    ]
-
-
-def test_precompose_bound_nests_additively():
-    b1, b2 = parse("x1", 4), parse("x2", 4)
-    total = 0
-    for prefix in (parse("x3", 4), parse("x4", 4), ReducedWord.identity(4)):
-        total = precompose_bound(b1, b2, prefix, total).total
-    assert total == 24
-
-
-def test_precompose_bound_validation():
-    with pytest.raises(RankError):
-        precompose_bound(parse("x1", 4), parse("x1", 3), parse("x1", 4), 0)
-    with pytest.raises(ValueError):
-        precompose_bound(parse("x1", 4), parse("x2", 4), parse("x3", 4), -1)
-
-
-def test_simple_length_lower_bound_is_half_the_simple_length():
-    assert simple_length_lower_bound(ReducedWord.identity(2)) == 0
-    rng = random.Random(406)
-    for _ in range(100):
-        w = random_reduced_word(rng, 2, rng.randint(0, 12))
-        assert simple_length_lower_bound(w) == Fraction(simple_length(w).value, 2)
-
-
 def test_trace_steps_validate_rule_names_and_totals():
     with pytest.raises(ValueError):
         TraceStep("unknown", "note", 1)
@@ -216,13 +133,6 @@ def test_trace_steps_validate_rule_names_and_totals():
     with pytest.raises(ValueError):
         BoundTrace((step,), 4)
     assert set(RULES) >= {"pointcommute", "crucial2", "distanceestimate"}
-
-
-def test_format_trace_shows_running_totals():
-    trace = precompose_bound(parse("x1", 4), parse("x2", 4), parse("x3", 4), 2)
-    text = format_trace(trace)
-    assert text.endswith("total: 10\n")
-    assert "step 2: pointcommute +4 -> 6" in text
 
 
 def test_push_label_rendering():

@@ -15,7 +15,6 @@ from spotdisk.pushcalc import (
     DiskLabel,
     PushLabel,
     Side,
-    SplittingLabel,
     TraceStep,
 )
 from spotdisk.qicert import CertificateRow, GridSummary
@@ -78,12 +77,6 @@ CASES = [
         (Side.SIDE2, W),
         f"PushLabel(side=<Side.SIDE2: 2>, word={W_REPR})",
     ),
-    (
-        SplittingLabel,
-        ("z_generator",),
-        (ReducedWord(3, (3, 1)),),
-        "SplittingLabel(z_generator=ReducedWord(rank=3, letters=(3, 1)))",
-    ),
     (TraceStep, ("rule", "note", "increment"), ("pointcommute", "swap", 2), STEP_REPR),
     (
         BoundTrace,
@@ -139,4 +132,4 @@ def test_record_contract(cls, names, values, text):
 
 def test_records_with_equal_fields_but_different_types_are_unequal():
     z = ReducedWord(3, (3,))
-    assert ArcLabel(z) != SplittingLabel(z)
+    assert ArcLabel(z) != CancellingFamily(z)

@@ -111,7 +111,7 @@ def test_simple_length_matches_bruteforce_random_rank3():
 
 def test_bruteforce_cap():
     with pytest.raises(CapExceeded):
-        simple_length_bruteforce(ReducedWord(2, tuple([1, 2] * 8)), cap=14)
+        simple_length_bruteforce(ReducedWord(2, tuple([1, 2] * 8)))
 
 
 def test_inverse_symmetry_and_length_bound_random():
