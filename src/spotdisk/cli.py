@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
+from contextlib import nullcontext
 
 from . import cancelpairs, pushcalc, qicert, torustree, whitehead
 from .errors import CapExceeded, ParseError, RankError
@@ -44,24 +44,37 @@ def _check_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be positive")
 
 
+def _open_output(path: str | None):
+    """Open an output file named on the command line, or a null context
+    when there is none.  Commands call this after their argument checks
+    and before any work, so an unwritable path exits 2 with no output."""
+    if not path:
+        return nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _cmd_wg(args: argparse.Namespace) -> int:
     _check_rank(args.rank)
     _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
-    graph = whitehead.whitehead_graph(w)
-    print(f"word: {format_word(w)}")
-    print(f"rank: {args.rank}")
-    print("vertices: " + " ".join(whitehead.vertex_label(v) for v in graph.vertices))
-    print(f"edges: {graph.edge_count}")
-    for (u, v), mult in graph.edges:
-        print(
-            f"edge: {whitehead.vertex_label(u)} -- {whitehead.vertex_label(v)}"
-            f" (multiplicity {mult})"
-        )
-    verdict = "yes" if whitehead.has_cut_vertex(graph) else "no"
-    print(f"cut vertex: {verdict}")
-    if args.dot:
-        Path(args.dot).write_text(whitehead.to_dot(graph), encoding="utf-8")
+    with _open_output(args.dot) as dot:
+        graph = whitehead.whitehead_graph(w)
+        print(f"word: {format_word(w)}")
+        print(f"rank: {args.rank}")
+        print("vertices: " + " ".join(whitehead.vertex_label(v) for v in graph.vertices))
+        print(f"edges: {graph.edge_count}")
+        for (u, v), mult in graph.edges:
+            print(
+                f"edge: {whitehead.vertex_label(u)} -- {whitehead.vertex_label(v)}"
+                f" (multiplicity {mult})"
+            )
+        verdict = "yes" if whitehead.has_cut_vertex(graph) else "no"
+        print(f"cut vertex: {verdict}")
+        if dot:
+            dot.write(whitehead.to_dot(graph))
     return 0
 
 
@@ -86,15 +99,10 @@ def _cmd_simple_length(args: argparse.Namespace) -> int:
 
 def _cmd_cr_bounds(args: argparse.Namespace) -> int:
     _check_rank(args.rank)
-    _check_positive("max_ell", args.max_ell)
-    if args.max_piece < 0 or args.max_conj < 0:
-        raise ValueError("search bounds must be nonnegative")
     _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
     lower = cancelpairs.cr_lower_bound(w)
-    witness = cancelpairs.cr_bruteforce(
-        w, max_ell=args.max_ell, max_piece=args.max_piece, max_conj=args.max_conj
-    )
+    witness = cancelpairs.cr_bruteforce(w)
     simple = whitehead.simple_length(w).value
     print(f"{lower} {witness.value} {simple}")
     if not lower <= witness.value <= simple:
@@ -111,21 +119,17 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
     _check_positive("length_cap", args.length_cap)
     _check_positive("jobs", args.jobs)
     _check_rank_cap(args.rank)
-    rows = qicert.certify_grid(
-        args.rank,
-        args.n,
-        args.grid_max,
-        budget=args.budget,
-        length_cap=args.length_cap,
-    )
-    text = qicert.to_csv(rows, args.rank)
-    sys.stdout.write(text)
-    summary = qicert.summarize(rows)
-    print(f"rows: {summary.rows}")
-    print(f"min ratio: {summary.min_ratio if summary.min_ratio is not None else '-'}")
-    print(f"max ratio: {summary.max_ratio if summary.max_ratio is not None else '-'}")
-    if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
+    qicert.check_grid(args.rank, args.n, args.grid_max, length_cap=args.length_cap)
+    with _open_output(args.csv) as csv:
+        rows = qicert.certify_grid(args.rank, args.n, args.grid_max, length_cap=args.length_cap)
+        text = qicert.to_csv(rows, args.rank)
+        sys.stdout.write(text)
+        summary = qicert.summarize(rows)
+        print(f"rows: {summary.rows}")
+        print(f"min ratio: {summary.min_ratio if summary.min_ratio is not None else '-'}")
+        print(f"max ratio: {summary.max_ratio if summary.max_ratio is not None else '-'}")
+        if csv:
+            csv.write(text)
     return 0
 
 
@@ -139,12 +143,14 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus_ball(args: argparse.Namespace) -> int:
-    ball = torustree.build_ball(args.radius, args.valency, args.leaves)
-    print(f"vertices: {len(ball.vertices)}")
-    print(f"edges: {len(ball.edges)}")
-    print(f"tree: {'yes' if torustree.is_tree(ball) else 'no'}")
-    if args.dot:
-        Path(args.dot).write_text(torustree.to_dot(ball), encoding="utf-8")
+    torustree.ball_size(args.radius, args.valency, args.leaves)
+    with _open_output(args.dot) as dot:
+        ball = torustree.build_ball(args.radius, args.valency, args.leaves)
+        print(f"vertices: {len(ball.vertices)}")
+        print(f"edges: {len(ball.edges)}")
+        print(f"tree: {'yes' if torustree.is_tree(ball) else 'no'}")
+        if dot:
+            dot.write(torustree.to_dot(ball))
     return 0
 
 
@@ -172,22 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cr-bounds", help="conjugate-reduced length bounds")
     p.add_argument("word")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--max-ell", type=int, default=3)
-    p.add_argument("--max-piece", type=int, default=6)
-    p.add_argument("--max-conj", type=int, default=3)
     p.set_defaults(func=_cmd_cr_bounds)
 
     p = sub.add_parser("qi-cert", help="lattice embedding certificate grid")
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid-max", type=int, required=True)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=qicert.PUSH_STEP_BUDGET,
-        choices=(qicert.PUSH_STEP_BUDGET, qicert.PUSH_STEP_BUDGET_HIGH_RANK),
-        help="per-power move cost (4 is valid from rank 6 on)",
-    )
     p.add_argument("--csv", metavar="PATH", help="also write the CSV to a file")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--length-cap", type=int, default=qicert.DEFAULT_LENGTH_CAP)

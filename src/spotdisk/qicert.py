@@ -65,6 +65,7 @@ __all__ = [
     "lambda_word",
     "relative_word",
     "upper_bound",
+    "check_grid",
     "certify_grid",
     "summarize",
     "to_csv",
@@ -77,6 +78,10 @@ PUSH_STEP_BUDGET_HIGH_RANK = 4
 
 MIN_RANK = 4
 DEFAULT_LENGTH_CAP = 600
+# Largest grid built: rows times coordinates, and letters in the push words,
+# their inverses and the relative words at the worst-case length.
+MAX_ROW_COORDINATES = 250_000
+MAX_GRID_LETTERS = 20_000_000
 
 
 def make_bt(g: int, t: int) -> ReducedWord:
@@ -199,6 +204,51 @@ class GridSummary(Record):
     max_ratio: Fraction | None
 
 
+def check_grid(
+    g: int,
+    n: int,
+    grid_max: int,
+    t_assignment: Sequence[int] | None = None,
+    budget: int = PUSH_STEP_BUDGET,
+    length_cap: int = DEFAULT_LENGTH_CAP,
+) -> tuple[int, ...]:
+    """Check the arguments and caps of :func:`certify_grid` from counts
+    alone, before anything is allocated; return the push word indices.
+
+    For grid_max m there are P = (m+1)^n points, P(P+1)/2 rows and
+    1 + sum_i m (m+1)^(2(n-i)) = 1 + (P^2 - 1)/(m + 2) keys.  The 2P
+    push words and inverses and the keys' relative words are each at
+    most the worst-case relative word length long.
+    """
+    _check_rank(g)
+    if grid_max < 0:
+        raise ValueError(f"grid_max must be nonnegative, got {grid_max}")
+    if budget not in (PUSH_STEP_BUDGET, PUSH_STEP_BUDGET_HIGH_RANK):
+        raise ValueError(
+            f"budget must be {PUSH_STEP_BUDGET} or {PUSH_STEP_BUDGET_HIGH_RANK}, got {budget}"
+        )
+    if budget == PUSH_STEP_BUDGET_HIGH_RANK and g < 6:
+        raise ValueError(f"budget {budget} needs rank at least 6, got {g}")
+    # Past the cap in points the rows are too; m = 0 leaves one point.
+    points = 1
+    for _ in range(n if grid_max else 0):
+        if points > MAX_ROW_COORDINATES:
+            break
+        points *= grid_max + 1
+    if points * (points + 1) // 2 * n > MAX_ROW_COORDINATES:
+        raise CapExceeded(f"grid has more than {MAX_ROW_COORDINATES} row coordinates")
+    ts = _assignment(n, t_assignment)
+    worst = 2 * grid_max * sum((g + 3) * (t + 1) for t in ts)
+    if worst > length_cap:
+        raise CapExceeded(
+            f"worst-case relative word length {worst} exceeds cap {length_cap}"
+        )
+    keys = 1 + (points * points - 1) // (grid_max + 2)
+    if (2 * points + keys) * worst > MAX_GRID_LETTERS:
+        raise CapExceeded(f"grid words may reach more than {MAX_GRID_LETTERS} letters")
+    return ts
+
+
 def certify_grid(
     g: int,
     n: int,
@@ -213,19 +263,10 @@ def certify_grid(
     Push words and their inverses are built once per point, and
     relative words and their lower bounds once per key (k', l') of the
     module docstring, the lower bounds through this call's trie; the
-    displacement, upper bound and ratio are per row.  The length cap is
-    checked from the push word lengths (g+3)(t+1), before any word is
-    built.
+    displacement, upper bound and ratio are per row.  :func:`check_grid`
+    runs first: the budget must be 6, or 4 from rank 6 on.
     """
-    _check_rank(g)
-    if grid_max < 0:
-        raise ValueError(f"grid_max must be nonnegative, got {grid_max}")
-    ts = _assignment(n, t_assignment)
-    worst = 2 * grid_max * sum((g + 3) * (t + 1) for t in ts)
-    if worst > length_cap:
-        raise CapExceeded(
-            f"worst-case relative word length {worst} exceeds cap {length_cap}"
-        )
+    ts = check_grid(g, n, grid_max, t_assignment, budget, length_cap)
     points = sorted(product(range(grid_max + 1), repeat=n))
     zero = points[0]
     lattice = {p: lambda_word(g, n, p, ts) for p in points}

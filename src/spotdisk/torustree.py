@@ -11,10 +11,10 @@ from __future__ import annotations
 from ._record import Record
 from .errors import CapExceeded
 
-__all__ = ["TorusDiskBall", "build_ball", "is_tree", "to_dot"]
+__all__ = ["TorusDiskBall", "ball_size", "build_ball", "is_tree", "to_dot"]
 
 ROOT = "d"
-# Largest ball built: `torus-ball` at this size peaks near 350 MB.
+# Largest ball built: `torus-ball` at this size peaks near 220 MB.
 MAX_BALL_VERTICES = 1_000_000
 
 
@@ -35,17 +35,13 @@ class TorusDiskBall(Record):
         return self.nonseparating + self.separating
 
 
-def build_ball(radius: int, tree_valency: int, leaf_count: int) -> TorusDiskBall:
-    """Breadth-first ball of the given radius.
+def ball_size(radius: int, tree_valency: int, leaf_count: int) -> int:
+    """Vertex count of :func:`build_ball`'s ball, found by arithmetic
+    after the argument checks; above MAX_BALL_VERTICES it raises
+    CapExceeded instead.
 
-    Every non-separating vertex gets ``tree_valency`` tree children (a
-    truncation of countably many) and ``leaf_count`` separating leaves.
-    A ball of more than MAX_BALL_VERTICES vertices raises CapExceeded
-    before anything is built.
-
-    >>> ball = build_ball(1, 3, 0)
-    >>> len(ball.vertices), len(ball.edges)
-    (4, 3)
+    >>> ball_size(2, 3, 2)
+    39
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
@@ -63,6 +59,22 @@ def build_ball(radius: int, tree_valency: int, leaf_count: int) -> TorusDiskBall
         size += level
     if size > MAX_BALL_VERTICES:
         raise CapExceeded(f"ball has more than {MAX_BALL_VERTICES} vertices")
+    return size
+
+
+def build_ball(radius: int, tree_valency: int, leaf_count: int) -> TorusDiskBall:
+    """Breadth-first ball of the given radius.
+
+    Every non-separating vertex gets ``tree_valency`` tree children (a
+    truncation of countably many) and ``leaf_count`` separating leaves.
+    The arguments and the vertex cap are checked by :func:`ball_size`
+    before anything is built.
+
+    >>> ball = build_ball(1, 3, 0)
+    >>> len(ball.vertices), len(ball.edges)
+    (4, 3)
+    """
+    ball_size(radius, tree_valency, leaf_count)
     nonsep = [ROOT]
     edges: list[tuple[str, str]] = []
     frontier = [ROOT]
@@ -92,25 +104,24 @@ def build_ball(radius: int, tree_valency: int, leaf_count: int) -> TorusDiskBall
 
 
 def is_tree(ball: TorusDiskBall) -> bool:
-    """Connected with exactly |V| - 1 edges (hence acyclic)."""
+    """Exactly |V| - 1 edges and no cycle (hence connected), checked by
+    union-find over the edges."""
     verts = ball.vertices
-    if not verts:
+    if not verts or len(ball.edges) != len(verts) - 1:
         return False
-    if len(ball.edges) != len(verts) - 1:
-        return False
-    adjacency: dict[str, list[str]] = {v: [] for v in verts}
+    parent = {v: v for v in verts}
+
+    def root(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
     for u, v in ball.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(verts)
+        ru, rv = root(u), root(v)
+        if ru == rv:
+            return False
+        parent[rv] = ru
+    return True
 
 
 def to_dot(ball: TorusDiskBall) -> str:

@@ -244,6 +244,10 @@ def test_cr_bruteforce_caps_and_bounds():
         cr_bruteforce(ReducedWord(2, tuple([1, 2] * 17)))
     with pytest.raises(ValueError):
         cr_bruteforce(parse("x1", 2), max_ell=0)
+    with pytest.raises(ValueError):
+        cr_bruteforce(parse("x1", 2), max_piece=-1)
+    with pytest.raises(ValueError):
+        cr_bruteforce(parse("x1", 2), max_conj=-1)
 
 
 def _long_words():

@@ -103,10 +103,20 @@ def test_simple_length_oracle_refuses_15_letters_before_any_output(capsys):
 
 
 def test_oracle_cap_is_no_longer_an_option(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simple-length", "x1", "--rank", "2", "--oracle", "--oracle-cap", "14"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --oracle-cap 14" in capsys.readouterr().err
+    # nor are the cr-bounds search bounds or the qi-cert budget
+    for argv, flag in (
+        (["simple-length", "x1", "--rank", "2", "--oracle"], "--oracle-cap"),
+        (["cr-bounds", "x1", "--rank", "2"], "--max-ell"),
+        (["cr-bounds", "x1", "--rank", "2"], "--max-piece"),
+        (["cr-bounds", "x1", "--rank", "2"], "--max-conj"),
+        (["qi-cert", "--rank", "6", "--n", "1", "--grid-max", "1"], "--budget"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "4"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 4" in err
 
 
 @pytest.mark.parametrize("rank", [MAX_RANK + 1, 30_000_000])
@@ -310,7 +320,7 @@ def test_qi_cert_rejects_nonpositive_jobs(capsys):
 
 
 RANK_1 = "rank must be at least 2, got 1"
-BOUNDS = "search bounds must be nonnegative"
+DIRECTORY = "cannot write .: Is a directory"
 
 
 @pytest.mark.parametrize(
@@ -324,28 +334,84 @@ BOUNDS = "search bounds must be nonnegative"
             ("qi-cert", "--rank", "3", "--n", "1", "--grid-max", "1"),
             "certificates need rank at least 4, got 3",
         ),
-        (("cr-bounds", "x1", "--rank", "2", "--max-ell", "0"), "max_ell must be positive"),
-        (("cr-bounds", "x1", "--rank", "2", "--max-piece", "-1"), BOUNDS),
-        (("cr-bounds", "x1", "--rank", "2", "--max-conj", "-1"), BOUNDS),
+        # an output path that cannot be opened for writing
+        (("wg", "x1", "--rank", "2", "--dot", "."), DIRECTORY),
+        (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--csv", "."), DIRECTORY),
+        (("torus-ball", "--radius", "1", "--valency", "1", "--leaves", "0", "--dot", "."), DIRECTORY),
         (
             ("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--length-cap", "0"),
             "length_cap must be positive",
         ),
         # a bad argument wins over the 32-letter cap's exit 3
-        (
-            ("cr-bounds", " ".join(["x1 x2"] * 17), "--rank", "2", "--max-ell", "0"),
-            "max_ell must be positive",
-        ),
+        (("cr-bounds", " ".join(["x1 x2"] * 17), "--rank", "1"), RANK_1),
         # and over the rank cap's
         (
-            ("cr-bounds", "x1", "--rank", str(MAX_RANK + 1), "--max-ell", "0"),
-            "max_ell must be positive",
+            ("qi-cert", "--rank", str(MAX_RANK + 1), "--n", "1", "--grid-max", "1",
+             "--length-cap", "0"),
+            "length_cap must be positive",
         ),
     ],
 )
 def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wg", "x1", "--rank", "2", "--dot"),
+        ("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--csv"),
+        ("torus-ball", "--radius", "1", "--valency", "1", "--leaves", "0", "--dot"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_path_in_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, argv):
+    path = tmp_path / "missing-dir" / "out.txt"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("wg", "x1", "--rank", "1", "--dot"), 2),
+        (("wg", "x1 ??", "--rank", "2", "--dot"), 2),
+        (("wg", "x1", "--rank", str(MAX_RANK + 1), "--dot"), 3),
+        (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "-1", "--csv"), 2),
+        (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--length-cap", "1", "--csv"), 3),
+        (("qi-cert", "--rank", "4", "--n", "30000000", "--grid-max", "0", "--csv"), 3),
+        (("torus-ball", "--radius", "-1", "--valency", "1", "--leaves", "0", "--dot"), 2),
+        (("torus-ball", "--radius", "30", "--valency", "2", "--leaves", "0", "--dot"), 3),
+    ],
+)
+def test_failed_checks_create_no_output_file(tmp_path, capsys, argv, code):
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv, str(path))[:2] == (code, "")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "30000000", "--grid-max", "0"), "grid has more than 250000 row coordinates"),
+        (
+            ("--n", "2000", "--grid-max", "1", "--length-cap", "1000000000"),
+            "grid has more than 250000 row coordinates",
+        ),
+        (
+            ("--n", "1", "--grid-max", "500", "--length-cap", "1000000000"),
+            "grid words may reach more than 20000000 letters",
+        ),
+    ],
+)
+def test_qi_cert_work_caps_exit_3_before_any_work(capsys, argv, message):
+    code, out, err = run(capsys, "qi-cert", "--rank", "4", *argv)
+    assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
 

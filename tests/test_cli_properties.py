@@ -1,5 +1,5 @@
-"""Property tests for the ``cr-bounds``, ``simple-length``, ``wg`` and
-``push`` commands over generated words and ranks."""
+"""Property tests for every command over generated words, ranks and
+sizes."""
 
 import contextlib
 import io
@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from spotdisk.cli import MAX_RANK, main
+from spotdisk.qicert import DEFAULT_LENGTH_CAP, MAX_ROW_COORDINATES
+from spotdisk.torustree import MAX_BALL_VERTICES
 from spotdisk.whitehead import ORACLE_CAP
 from spotdisk.words import ReducedWord, concat, format_word
 
@@ -114,3 +116,46 @@ def test_push_is_uncapped_by_rank_and_repeats(data):
     if rank >= 2:
         pushed = concat(ReducedWord(rank, arc.letters), ReducedWord(rank, loop.letters))
         assert out == f"arc: {format_word(pushed)}\n"
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(
+    st.sampled_from([3, 4, 5, MAX_RANK + 1]),
+    st.one_of(st.integers(1, 3), st.just(MAX_ROW_COORDINATES + 1)),
+    st.integers(0, 3),
+    st.sampled_from([1, 100, DEFAULT_LENGTH_CAP]),
+)
+def test_qi_cert_exits_by_cap_and_repeats(rank, n, grid_max, length_cap):
+    argv = ["qi-cert", "--rank", str(rank), "--n", str(n), "--grid-max", str(grid_max)]
+    argv += ["--length-cap", str(length_cap)]
+    # Rank 3 is below the least rank.  The row coordinates and the longest
+    # relative word decide the caps; the letter cap lies far above these grids.
+    points = (grid_max + 1) ** n if n <= 3 else 1
+    worst = 2 * grid_max * sum((rank + 3) * (t + 1) for t in range(1, n + 1))
+    capped = (
+        rank > MAX_RANK
+        or points * (points + 1) // 2 * n > MAX_ROW_COORDINATES
+        or worst > length_cap
+    )
+    out = check_run(argv, 2 if rank < 4 else 3 if capped else 0)
+    if out:
+        assert out.startswith("n,g,k,l,displacement,lower,upper,ratio\n")
+        assert f"\nrows: {points * (points + 1) // 2}\n" in out
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+@hypothesis.given(
+    st.sampled_from([-1, 0, 1, 2, 4, 20]),
+    st.integers(0, 3),
+    st.one_of(st.integers(-1, 3), st.just(MAX_BALL_VERTICES)),
+)
+def test_torus_ball_exits_by_cap_and_repeats(radius, valency, leaves):
+    argv = ["torus-ball", "--radius", str(radius), "--valency", str(valency)]
+    argv += ["--leaves", str(leaves)]
+    if radius < 0 or valency < 1 or leaves < 0:
+        out = check_run(argv, 2)
+    else:
+        size = sum(valency**i for i in range(radius + 1)) * (1 + leaves)
+        out = check_run(argv, 3 if size > MAX_BALL_VERTICES else 0)
+        if out:
+            assert out == f"vertices: {size}\nedges: {size - 1}\ntree: yes\n"

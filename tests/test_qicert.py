@@ -322,6 +322,39 @@ def test_grid_length_cap_uses_the_push_word_lengths():
         certify_grid(4, 2, 2, length_cap=139)
 
 
+def test_grid_budget_is_6_or_4_from_rank_6_before_any_word(monkeypatch):
+    import spotdisk.qicert as qicert
+
+    built = []
+    monkeypatch.setattr(qicert, "make_bt", lambda g, t: built.append((g, t)))
+    for args, budget in (((4, 1, 1), 4), ((5, 1, 1), 4), ((4, 1, 1), 5), ((6, 1, 1), 8)):
+        with pytest.raises(ValueError):
+            certify_grid(*args, budget=budget)
+    assert built == []
+
+
+def test_grid_work_caps_count_rows_and_letters(monkeypatch):
+    import spotdisk.qicert as qicert
+
+    # (n, m) = (2, 2): 9 points, 45 rows of 2 coordinates, 1 + 80/4 = 21
+    # keys, and (2 * 9 + 21) * 140 = 5460 letters at the worst length 140
+    monkeypatch.setattr(qicert, "MAX_ROW_COORDINATES", 90)
+    monkeypatch.setattr(qicert, "MAX_GRID_LETTERS", 5460)
+    assert len(certify_grid(4, 2, 2)) == 45
+    for name, value in (("MAX_ROW_COORDINATES", 89), ("MAX_GRID_LETTERS", 5459)):
+        with monkeypatch.context() as patch:
+            patch.setattr(qicert, name, value)
+            with pytest.raises(CapExceeded):
+                certify_grid(4, 2, 2)
+    # the row count stops early: 2^(2 * 10^9) points are never multiplied out
+    for args in ((4, 10**9, 1), (4, 10**9, 0), (4, 91, 0)):
+        with pytest.raises(CapExceeded):
+            certify_grid(*args)
+    assert len(certify_grid(4, 90, 0)) == 1
+    with pytest.raises(ValueError):  # a negative n is an argument error
+        certify_grid(4, -1, 1)
+
+
 def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
     import spotdisk.qicert as qicert
     import spotdisk.whitehead as whitehead

@@ -81,3 +81,15 @@ def test_is_tree_detects_broken_graphs():
         ball.edges + (("d.0", "d.1"),),
     )
     assert not is_tree(broken)
+    # |V| - 1 edges, but d.2 is stranded and d, d.0, d.1 close a cycle
+    ball = build_ball(1, 3, 0)
+    broken = type(ball)(
+        ball.radius,
+        ball.valency_cap,
+        ball.leaf_count,
+        ball.nonseparating,
+        ball.separating,
+        (("d", "d.0"), ("d", "d.1"), ("d.0", "d.1")),
+    )
+    assert len(broken.edges) == len(broken.vertices) - 1
+    assert not is_tree(broken)
