@@ -144,6 +144,8 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 def _cmd_torus_ball(args: argparse.Namespace) -> int:
     torustree.ball_size(args.radius, args.valency, args.leaves)
+    if args.dot:
+        torustree.dot_size(args.radius, args.valency, args.leaves)
     with _open_output(args.dot) as dot:
         ball = torustree.build_ball(args.radius, args.valency, args.leaves)
         print(f"vertices: {len(ball.vertices)}")

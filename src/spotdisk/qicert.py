@@ -223,6 +223,8 @@ def check_grid(
     _check_rank(g)
     if grid_max < 0:
         raise ValueError(f"grid_max must be nonnegative, got {grid_max}")
+    if n < 1:
+        raise ValueError(f"need at least one coordinate, got {n}")
     if budget not in (PUSH_STEP_BUDGET, PUSH_STEP_BUDGET_HIGH_RANK):
         raise ValueError(
             f"budget must be {PUSH_STEP_BUDGET} or {PUSH_STEP_BUDGET_HIGH_RANK}, got {budget}"

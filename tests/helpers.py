@@ -8,7 +8,7 @@ search, and the cut-vertex verdict tries every single vertex removal.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from spotdisk.whitehead import WhiteheadGraph
 from spotdisk.words import ReducedWord, concat, inverse
@@ -89,17 +89,17 @@ def conjugate_product(
     return out
 
 
-def tree_has_cycle(vertices: tuple[str, ...], edges: tuple[tuple[str, str], ...]) -> bool:
+def tree_has_cycle(vertices: Sequence[int], edges: Sequence[tuple[int, int]]) -> bool:
     """Parent-tracked depth-first cycle detection over an undirected graph."""
-    adjacency: dict[str, list[str]] = {v: [] for v in vertices}
+    adjacency: dict[int, list[int]] = {v: [] for v in vertices}
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
-    seen: set[str] = set()
+    seen: set[int] = set()
     for root in vertices:
         if root in seen:
             continue
-        stack: list[tuple[str, str | None]] = [(root, None)]
+        stack: list[tuple[int, int | None]] = [(root, None)]
         seen.add(root)
         while stack:
             node, parent = stack.pop()

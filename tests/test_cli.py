@@ -350,6 +350,10 @@ DIRECTORY = "cannot write .: Is a directory"
              "--length-cap", "0"),
             "length_cap must be positive",
         ),
+        (
+            ("qi-cert", "--rank", "4", "--n", "-3", "--grid-max", "2"),
+            "need at least one coordinate, got -3",
+        ),
     ],
 )
 def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):
@@ -387,6 +391,10 @@ def test_output_path_in_a_missing_directory_exits_2_before_any_work(tmp_path, ca
         (("qi-cert", "--rank", "4", "--n", "30000000", "--grid-max", "0", "--csv"), 3),
         (("torus-ball", "--radius", "-1", "--valency", "1", "--leaves", "0", "--dot"), 2),
         (("torus-ball", "--radius", "30", "--valency", "2", "--leaves", "0", "--dot"), 3),
+        (("qi-cert", "--rank", "4", "--n", "0", "--grid-max", "2", "--csv"), 2),
+        (("qi-cert", "--rank", "4", "--n", "-3", "--grid-max", "2", "--csv"), 2),
+        # within the vertex cap, but its DOT text is over 10**12 bytes
+        (("torus-ball", "--radius", "999999", "--valency", "1", "--leaves", "0", "--dot"), 3),
     ],
 )
 def test_failed_checks_create_no_output_file(tmp_path, capsys, argv, code):

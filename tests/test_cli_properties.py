@@ -3,13 +3,17 @@ sizes."""
 
 import contextlib
 import io
+import os
+import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from spotdisk import torustree
 from spotdisk.cli import MAX_RANK, main
 from spotdisk.qicert import DEFAULT_LENGTH_CAP, MAX_ROW_COORDINATES
-from spotdisk.torustree import MAX_BALL_VERTICES
+from spotdisk.torustree import MAX_BALL_VERTICES, build_ball, to_dot
 from spotdisk.whitehead import ORACLE_CAP
 from spotdisk.words import ReducedWord, concat, format_word
 
@@ -121,15 +125,19 @@ def test_push_is_uncapped_by_rank_and_repeats(data):
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 @hypothesis.given(
     st.sampled_from([3, 4, 5, MAX_RANK + 1]),
-    st.one_of(st.integers(1, 3), st.just(MAX_ROW_COORDINATES + 1)),
+    st.one_of(st.integers(-2, 3), st.just(MAX_ROW_COORDINATES + 1)),
     st.integers(0, 3),
     st.sampled_from([1, 100, DEFAULT_LENGTH_CAP]),
 )
 def test_qi_cert_exits_by_cap_and_repeats(rank, n, grid_max, length_cap):
     argv = ["qi-cert", "--rank", str(rank), "--n", str(n), "--grid-max", str(grid_max)]
     argv += ["--length-cap", str(length_cap)]
-    # Rank 3 is below the least rank.  The row coordinates and the longest
+    # Rank 3 is below the least rank, and the rank cap comes before the grid
+    # checks, n >= 1 first among them.  The row coordinates and the longest
     # relative word decide the caps; the letter cap lies far above these grids.
+    if rank < 4 or rank <= MAX_RANK and n < 1:
+        check_run(argv, 2)
+        return
     points = (grid_max + 1) ** n if n <= 3 else 1
     worst = 2 * grid_max * sum((rank + 3) * (t + 1) for t in range(1, n + 1))
     capped = (
@@ -137,7 +145,7 @@ def test_qi_cert_exits_by_cap_and_repeats(rank, n, grid_max, length_cap):
         or points * (points + 1) // 2 * n > MAX_ROW_COORDINATES
         or worst > length_cap
     )
-    out = check_run(argv, 2 if rank < 4 else 3 if capped else 0)
+    out = check_run(argv, 3 if capped else 0)
     if out:
         assert out.startswith("n,g,k,l,displacement,lower,upper,ratio\n")
         assert f"\nrows: {points * (points + 1) // 2}\n" in out
@@ -145,11 +153,17 @@ def test_qi_cert_exits_by_cap_and_repeats(rank, n, grid_max, length_cap):
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 @hypothesis.given(
-    st.sampled_from([-1, 0, 1, 2, 4, 20]),
-    st.integers(0, 3),
+    st.one_of(
+        st.tuples(st.sampled_from([-1, 0, 1, 2, 4, 20]), st.integers(0, 3)),
+        # deep paths, whose path-from-root labels would total ~radius**2 bytes
+        st.tuples(
+            st.integers(0, MAX_BALL_VERTICES - 1) | st.just(MAX_BALL_VERTICES - 1), st.just(1)
+        ),
+    ),
     st.one_of(st.integers(-1, 3), st.just(MAX_BALL_VERTICES)),
 )
-def test_torus_ball_exits_by_cap_and_repeats(radius, valency, leaves):
+def test_torus_ball_exits_by_cap_and_repeats(shape, leaves):
+    radius, valency = shape
     argv = ["torus-ball", "--radius", str(radius), "--valency", str(valency)]
     argv += ["--leaves", str(leaves)]
     if radius < 0 or valency < 1 or leaves < 0:
@@ -159,3 +173,24 @@ def test_torus_ball_exits_by_cap_and_repeats(radius, valency, leaves):
         out = check_run(argv, 3 if size > MAX_BALL_VERTICES else 0)
         if out:
             assert out == f"vertices: {size}\nedges: {size - 1}\ntree: yes\n"
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+@hypothesis.given(
+    st.integers(0, 4), st.integers(1, 4), st.integers(0, 3), st.sampled_from([0, 1])
+)
+def test_torus_ball_dot_exits_by_cap_and_repeats(radius, valency, leaves, past):
+    text = to_dot(build_ball(radius, valency, leaves))
+    # the DOT cap at the ball's DOT size, or one byte below it
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        torustree, "MAX_DOT_BYTES", len(text.encode()) - past
+    ):
+        path = os.path.join(tmp, "ball.dot")
+        argv = ["torus-ball", "--radius", str(radius), "--valency", str(valency)]
+        argv += ["--leaves", str(leaves), "--dot", path]
+        check_run(argv, 3 if past else 0)
+        if past:
+            assert not os.path.exists(path)
+        else:
+            with open(path, encoding="utf-8") as dot:
+                assert dot.read() == text

@@ -2,7 +2,7 @@ import pytest
 from helpers import tree_has_cycle
 
 from spotdisk.errors import CapExceeded
-from spotdisk.torustree import build_ball, is_tree, to_dot
+from spotdisk.torustree import build_ball, dot_size, is_tree, to_dot
 
 
 def test_radius_zero_is_a_single_vertex():
@@ -61,6 +61,27 @@ def test_vertex_cap_counts_tree_vertices_and_leaves(monkeypatch):
         build_ball(2, 3, 2)
 
 
+def test_dot_size_counts_the_dot_bytes(monkeypatch):
+    import spotdisk.torustree as torustree
+
+    # criterion 8's ranges, plus two-digit child and leaf indices
+    balls = [(r, v, l) for r in range(5) for v in range(1, 5) for l in range(4)]
+    balls += [(1, 11, 0), (2, 11, 1), (1, 2, 11), (2, 11, 11)]
+    for args in balls:
+        assert dot_size(*args) == len(to_dot(build_ball(*args)).encode()), args
+    size = len(to_dot(build_ball(2, 11, 11)).encode())
+    monkeypatch.setattr(torustree, "MAX_DOT_BYTES", size)
+    assert dot_size(2, 11, 11) == size
+    monkeypatch.setattr(torustree, "MAX_DOT_BYTES", size - 1)
+    with pytest.raises(CapExceeded):
+        dot_size(2, 11, 11)
+    # the vertex cap and the argument checks come first
+    with pytest.raises(ValueError):
+        dot_size(0, 0, 0)
+    with pytest.raises(CapExceeded, match="vertices"):
+        dot_size(10**9, 1, 0)
+
+
 def test_dot_marks_separating_leaves():
     ball = build_ball(1, 1, 1)
     text = to_dot(ball)
@@ -71,25 +92,25 @@ def test_dot_marks_separating_leaves():
 
 
 def test_is_tree_detects_broken_graphs():
+    def with_edges(ball, edges):
+        return type(ball)(
+            ball.radius,
+            ball.valency_cap,
+            ball.leaf_count,
+            ball.nonseparating,
+            ball.separating,
+            edges,
+        )
+
     ball = build_ball(1, 2, 0)
-    broken = type(ball)(
-        ball.radius,
-        ball.valency_cap,
-        ball.leaf_count,
-        ball.nonseparating,
-        ball.separating,
-        ball.edges + (("d.0", "d.1"),),
-    )
-    assert not is_tree(broken)
-    # |V| - 1 edges, but d.2 is stranded and d, d.0, d.1 close a cycle
+    assert not is_tree(with_edges(ball, ball.edges + ((1, 2),)))
+    # |V| - 1 edges, but 3 is stranded and 0, 1, 2 close a cycle
     ball = build_ball(1, 3, 0)
-    broken = type(ball)(
-        ball.radius,
-        ball.valency_cap,
-        ball.leaf_count,
-        ball.nonseparating,
-        ball.separating,
-        (("d", "d.0"), ("d", "d.1"), ("d.0", "d.1")),
-    )
+    broken = with_edges(ball, ((0, 1), (0, 2), (1, 2)))
     assert len(broken.edges) == len(broken.vertices) - 1
     assert not is_tree(broken)
+    # |V| - 1 edges, one naming a vertex outside 0 .. |V| - 1; -1 must not
+    # wrap round to the last vertex
+    for stray in (4, -1):
+        assert not is_tree(with_edges(ball, ((0, 1), (0, 2), (0, stray))))
+        assert not is_tree(with_edges(ball, ((0, 1), (0, 2), (stray, 3))))
