@@ -39,11 +39,6 @@ def _check_rank_cap(rank: int) -> None:
         raise CapExceeded(f"rank {rank} exceeds cap {MAX_RANK}")
 
 
-def _check_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
-
-
 def _open_output(path: str | None):
     """Open an output file named on the command line, or a null context
     when there is none.  Commands call this after their argument checks
@@ -116,12 +111,12 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
         raise RankError(
             f"certificates need rank at least {qicert.MIN_RANK}, got {args.rank}"
         )
-    _check_positive("length_cap", args.length_cap)
-    _check_positive("jobs", args.jobs)
+    if args.jobs < 1:
+        raise ValueError("jobs must be positive")
     _check_rank_cap(args.rank)
-    qicert.check_grid(args.rank, args.n, args.grid_max, length_cap=args.length_cap)
+    qicert.check_grid(args.rank, args.n, args.grid_max)
     with _open_output(args.csv) as csv:
-        rows = qicert.certify_grid(args.rank, args.n, args.grid_max, length_cap=args.length_cap)
+        rows = qicert.certify_grid(args.rank, args.n, args.grid_max)
         text = qicert.to_csv(rows, args.rank)
         sys.stdout.write(text)
         summary = qicert.summarize(rows)
@@ -152,7 +147,7 @@ def _cmd_torus_ball(args: argparse.Namespace) -> int:
         print(f"edges: {len(ball.edges)}")
         print(f"tree: {'yes' if torustree.is_tree(ball) else 'no'}")
         if dot:
-            dot.write(torustree.to_dot(ball))
+            dot.writelines(torustree.dot_lines(ball))
     return 0
 
 
@@ -188,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", type=int, required=True)
     p.add_argument("--csv", metavar="PATH", help="also write the CSV to a file")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--length-cap", type=int, default=qicert.DEFAULT_LENGTH_CAP)
     p.set_defaults(func=_cmd_qi_cert)
 
     p = sub.add_parser("push", help="push an arc label along a loop")

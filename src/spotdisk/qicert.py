@@ -77,7 +77,6 @@ PUSH_STEP_BUDGET = 6
 PUSH_STEP_BUDGET_HIGH_RANK = 4
 
 MIN_RANK = 4
-DEFAULT_LENGTH_CAP = 600
 # Largest grid built: rows times coordinates, and letters in the push words,
 # their inverses and the relative words at the worst-case length.
 MAX_ROW_COORDINATES = 250_000
@@ -210,7 +209,6 @@ def check_grid(
     grid_max: int,
     t_assignment: Sequence[int] | None = None,
     budget: int = PUSH_STEP_BUDGET,
-    length_cap: int = DEFAULT_LENGTH_CAP,
 ) -> tuple[int, ...]:
     """Check the arguments and caps of :func:`certify_grid` from counts
     alone, before anything is allocated; return the push word indices.
@@ -241,10 +239,6 @@ def check_grid(
         raise CapExceeded(f"grid has more than {MAX_ROW_COORDINATES} row coordinates")
     ts = _assignment(n, t_assignment)
     worst = 2 * grid_max * sum((g + 3) * (t + 1) for t in ts)
-    if worst > length_cap:
-        raise CapExceeded(
-            f"worst-case relative word length {worst} exceeds cap {length_cap}"
-        )
     keys = 1 + (points * points - 1) // (grid_max + 2)
     if (2 * points + keys) * worst > MAX_GRID_LETTERS:
         raise CapExceeded(f"grid words may reach more than {MAX_GRID_LETTERS} letters")
@@ -257,7 +251,6 @@ def certify_grid(
     grid_max: int,
     t_assignment: Sequence[int] | None = None,
     budget: int = PUSH_STEP_BUDGET,
-    length_cap: int = DEFAULT_LENGTH_CAP,
 ) -> list[CertificateRow]:
     """Certificate rows for every unordered pair of points in
     {0..grid_max}^n, in lexicographic (k, l) order.
@@ -268,7 +261,7 @@ def certify_grid(
     displacement, upper bound and ratio are per row.  :func:`check_grid`
     runs first: the budget must be 6, or 4 from rank 6 on.
     """
-    ts = check_grid(g, n, grid_max, t_assignment, budget, length_cap)
+    ts = check_grid(g, n, grid_max, t_assignment, budget)
     points = sorted(product(range(grid_max + 1), repeat=n))
     zero = points[0]
     lattice = {p: lambda_word(g, n, p, ts) for p in points}

@@ -9,10 +9,14 @@ labels exist only in the DOT text.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ._record import Record
 from .errors import CapExceeded
 
-__all__ = ["TorusDiskBall", "ball_size", "build_ball", "dot_size", "is_tree", "to_dot"]
+__all__ = [
+    "TorusDiskBall", "ball_size", "build_ball", "dot_lines", "dot_size", "is_tree", "to_dot",
+]
 
 ROOT = "d"
 # Largest ball built: `torus-ball` at this size peaks below 200 MB.
@@ -171,10 +175,11 @@ def is_tree(ball: TorusDiskBall) -> bool:
     return True
 
 
-def to_dot(ball: TorusDiskBall) -> str:
-    """DOT rendering with path-from-root labels: the root is ``d``, tree
-    child i of a vertex appends ``.i`` and its leaf j appends ``.sj``.
-    Separating leaves are drawn as boxes."""
+def dot_lines(ball: TorusDiskBall) -> Iterator[str]:
+    """DOT rendering with path-from-root labels, line by line: the root is
+    ``d``, tree child i of a vertex appends ``.i`` and its leaf j appends
+    ``.sj``.  Separating leaves are drawn as boxes.  The labels are made
+    first; each line is made when it is asked for."""
     valency, leaf_count = ball.valency_cap, ball.leaf_count
     tree = len(ball.nonseparating)
     labels = [ROOT]
@@ -182,9 +187,16 @@ def to_dot(ball: TorusDiskBall) -> str:
         labels.append(f"{labels[(c - 1) // valency]}.{(c - 1) % valency}")
     for c in range(tree * leaf_count):
         labels.append(f"{labels[c // leaf_count]}.s{c % leaf_count}")
-    lines = [_HEAD]
-    lines += [_CIRCLE.format(labels[v]) for v in ball.nonseparating]
-    lines += [_BOX.format(labels[v]) for v in ball.separating]
-    lines += [_EDGE.format(labels[u], labels[v]) for u, v in ball.edges]
-    lines.append(_TAIL)
-    return "".join(lines)
+    yield _HEAD
+    for v in ball.nonseparating:
+        yield _CIRCLE.format(labels[v])
+    for v in ball.separating:
+        yield _BOX.format(labels[v])
+    for u, v in ball.edges:
+        yield _EDGE.format(labels[u], labels[v])
+    yield _TAIL
+
+
+def to_dot(ball: TorusDiskBall) -> str:
+    """The lines of :func:`dot_lines` as one text."""
+    return "".join(dot_lines(ball))

@@ -40,7 +40,6 @@ __all__ = [
     "subwords",
     "parse",
     "format_word",
-    "format_compact",
 ]
 
 
@@ -81,15 +80,6 @@ class ReducedWord(Record):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
-
-    def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        return concat(self, other)
-
-    def __invert__(self) -> "ReducedWord":
-        return inverse(self)
-
-    def __pow__(self, n: int) -> "ReducedWord":
-        return power(self, n)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -220,11 +210,3 @@ def format_word(w: ReducedWord) -> str:
     """
     return " ".join(f"x{a}" if a > 0 else f"X{-a}" for a in w.letters)
 
-
-def format_compact(w: ReducedWord) -> str:
-    """Compact rendering (``a``/``A`` for x1/X1); needs letter indices <= 26."""
-    if any(abs(a) > 26 for a in w.letters):
-        raise ValueError("compact form only covers letter indices up to 26")
-    return "".join(
-        chr(ord("a") + a - 1) if a > 0 else chr(ord("A") - a - 1) for a in w.letters
-    )

@@ -12,15 +12,13 @@ regenerates the file and says which balls changed and why.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 import json
 import subprocess
-import tempfile
+import sys
 from pathlib import Path
 
-from spotdisk.cli import main
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from helpers import cli_outcome  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("torus_ball.json")
 COMMAND = "PYTHONPATH=src python tests/golden/record_torus_ball.py"
@@ -36,19 +34,12 @@ BALLS = [
 
 def digests(radius: int, valency: int, leaves: int) -> dict[str, str]:
     """sha256 of stdout and of the DOT file of one in-process run."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "ball.dot"
-        out = io.StringIO()
-        argv = ["torus-ball", "--radius", str(radius), "--valency", str(valency)]
-        argv += ["--leaves", str(leaves), "--dot", str(path)]
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        if code != 0:
-            raise SystemExit(f"{' '.join(argv)} exited {code}")
-        return {
-            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "dot": hashlib.sha256(path.read_bytes()).hexdigest(),
-        }
+    argv = ["torus-ball", "--radius", str(radius), "--valency", str(valency)]
+    argv += ["--leaves", str(leaves), "--dot", "ball.dot"]
+    outcome = cli_outcome(argv)
+    if outcome["exit"] != 0:
+        raise SystemExit(f"{' '.join(argv)} exited {outcome['exit']}")
+    return {"stdout": outcome["stdout"], "dot": outcome["files"]["ball.dot"]}
 
 
 def ball_key(radius: int, valency: int, leaves: int) -> str:

@@ -3,13 +3,22 @@
 The oracles here deliberately avoid the package's internal algorithms:
 connectivity is computed by fixpoint set expansion instead of low-link
 search, and the cut-vertex verdict tries every single vertex removal.
+:func:`cli_outcome` digests one command-line run for the byte guards.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import os
 import random
+import tempfile
+from pathlib import Path
 from typing import Iterator, Sequence
+from unittest import mock
 
+from spotdisk.cli import main
 from spotdisk.whitehead import WhiteheadGraph
 from spotdisk.words import ReducedWord, concat, inverse
 
@@ -113,3 +122,36 @@ def tree_has_cycle(vertices: Sequence[int], edges: Sequence[tuple[int, int]]) ->
                 seen.add(other)
                 stack.append((other, node))
     return False
+
+
+def cli_outcome(argv: Sequence[str]) -> dict:
+    """Exit code and sha256 of stdout, stderr and each file written, for one
+    in-process ``spotdisk`` run in an empty directory.
+
+    Output paths in ``argv`` are relative, so they land in that directory.
+    COLUMNS is pinned so that argparse wraps its usage lines the same way
+    on every terminal.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, COLUMNS="80"):
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:  # argparse rejected the argv
+                    code = exc.code
+            files = {p.name: _sha256(p.read_bytes()) for p in sorted(Path(tmp).iterdir())}
+        finally:
+            os.chdir(cwd)
+    return {
+        "exit": code,
+        "stdout": _sha256(out.getvalue().encode()),
+        "stderr": _sha256(err.getvalue().encode()),
+        "files": files,
+    }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()

@@ -103,13 +103,14 @@ def test_simple_length_oracle_refuses_15_letters_before_any_output(capsys):
 
 
 def test_oracle_cap_is_no_longer_an_option(capsys):
-    # nor are the cr-bounds search bounds or the qi-cert budget
+    # nor are the cr-bounds search bounds, the qi-cert budget or its length cap
     for argv, flag in (
         (["simple-length", "x1", "--rank", "2", "--oracle"], "--oracle-cap"),
         (["cr-bounds", "x1", "--rank", "2"], "--max-ell"),
         (["cr-bounds", "x1", "--rank", "2"], "--max-piece"),
         (["cr-bounds", "x1", "--rank", "2"], "--max-conj"),
         (["qi-cert", "--rank", "6", "--n", "1", "--grid-max", "1"], "--budget"),
+        (["qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1"], "--length-cap"),
     ):
         with pytest.raises(SystemExit) as exc:
             main([*argv, flag, "4"])
@@ -233,23 +234,6 @@ def test_qi_cert_deterministic_across_jobs(capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_qi_cert_cap(capsys):
-    code, _, err = run(
-        capsys,
-        "qi-cert",
-        "--rank",
-        "4",
-        "--n",
-        "2",
-        "--grid-max",
-        "2",
-        "--length-cap",
-        "50",
-    )
-    assert code == 3
-    assert "error" in err
-
-
 def test_push_identity_arc(capsys):
     code, out, _ = run(capsys, "push", "--rank", "2", "--arc", "", "--loop", "x1")
     assert code == 0
@@ -339,16 +323,16 @@ DIRECTORY = "cannot write .: Is a directory"
         (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--csv", "."), DIRECTORY),
         (("torus-ball", "--radius", "1", "--valency", "1", "--leaves", "0", "--dot", "."), DIRECTORY),
         (
-            ("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--length-cap", "0"),
-            "length_cap must be positive",
+            ("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--jobs", "0"),
+            "jobs must be positive",
         ),
         # a bad argument wins over the 32-letter cap's exit 3
         (("cr-bounds", " ".join(["x1 x2"] * 17), "--rank", "1"), RANK_1),
         # and over the rank cap's
         (
             ("qi-cert", "--rank", str(MAX_RANK + 1), "--n", "1", "--grid-max", "1",
-             "--length-cap", "0"),
-            "length_cap must be positive",
+             "--jobs", "0"),
+            "jobs must be positive",
         ),
         (
             ("qi-cert", "--rank", "4", "--n", "-3", "--grid-max", "2"),
@@ -387,7 +371,7 @@ def test_output_path_in_a_missing_directory_exits_2_before_any_work(tmp_path, ca
         (("wg", "x1 ??", "--rank", "2", "--dot"), 2),
         (("wg", "x1", "--rank", str(MAX_RANK + 1), "--dot"), 3),
         (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "-1", "--csv"), 2),
-        (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--length-cap", "1", "--csv"), 3),
+        (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "488", "--csv"), 3),
         (("qi-cert", "--rank", "4", "--n", "30000000", "--grid-max", "0", "--csv"), 3),
         (("torus-ball", "--radius", "-1", "--valency", "1", "--leaves", "0", "--dot"), 2),
         (("torus-ball", "--radius", "30", "--valency", "2", "--leaves", "0", "--dot"), 3),
@@ -407,14 +391,8 @@ def test_failed_checks_create_no_output_file(tmp_path, capsys, argv, code):
     "argv, message",
     [
         (("--n", "30000000", "--grid-max", "0"), "grid has more than 250000 row coordinates"),
-        (
-            ("--n", "2000", "--grid-max", "1", "--length-cap", "1000000000"),
-            "grid has more than 250000 row coordinates",
-        ),
-        (
-            ("--n", "1", "--grid-max", "500", "--length-cap", "1000000000"),
-            "grid words may reach more than 20000000 letters",
-        ),
+        (("--n", "2000", "--grid-max", "1"), "grid has more than 250000 row coordinates"),
+        (("--n", "1", "--grid-max", "500"), "grid words may reach more than 20000000 letters"),
     ],
 )
 def test_qi_cert_work_caps_exit_3_before_any_work(capsys, argv, message):
@@ -422,6 +400,19 @@ def test_qi_cert_work_caps_exit_3_before_any_work(capsys, argv, message):
     assert code == 3
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_qi_cert_is_bounded_by_its_work_caps_alone(capsys):
+    # worst-case relative word length 2 * 151 * 2 = 604, far below the
+    # letter cap: (2 * 2 + 2) * 604 letters
+    code, out, err = run(capsys, "qi-cert", "--rank", "148", "--n", "1", "--grid-max", "1")
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "n,g,k,l,displacement,lower,upper,ratio\n"
+        "1,148,0,0,0,0,8,\n1,148,0,1,1,1/2,14,1/2\n1,148,1,1,0,0,8,\n"
+        "rows: 3\nmin ratio: 1/2\nmax ratio: 1/2\n"
+    )
 
 
 def test_closed_stdout_ends_quietly_with_141():

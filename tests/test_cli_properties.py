@@ -12,7 +12,7 @@ import pytest
 
 from spotdisk import torustree
 from spotdisk.cli import MAX_RANK, main
-from spotdisk.qicert import DEFAULT_LENGTH_CAP, MAX_ROW_COORDINATES
+from spotdisk.qicert import MAX_GRID_LETTERS, MAX_ROW_COORDINATES
 from spotdisk.torustree import MAX_BALL_VERTICES, build_ball, to_dot
 from spotdisk.whitehead import ORACLE_CAP
 from spotdisk.words import ReducedWord, concat, format_word
@@ -126,24 +126,24 @@ def test_push_is_uncapped_by_rank_and_repeats(data):
 @hypothesis.given(
     st.sampled_from([3, 4, 5, MAX_RANK + 1]),
     st.one_of(st.integers(-2, 3), st.just(MAX_ROW_COORDINATES + 1)),
-    st.integers(0, 3),
-    st.sampled_from([1, 100, DEFAULT_LENGTH_CAP]),
+    st.integers(0, 3) | st.just(488),
 )
-def test_qi_cert_exits_by_cap_and_repeats(rank, n, grid_max, length_cap):
+def test_qi_cert_exits_by_cap_and_repeats(rank, n, grid_max):
     argv = ["qi-cert", "--rank", str(rank), "--n", str(n), "--grid-max", str(grid_max)]
-    argv += ["--length-cap", str(length_cap)]
     # Rank 3 is below the least rank, and the rank cap comes before the grid
-    # checks, n >= 1 first among them.  The row coordinates and the longest
-    # relative word decide the caps; the letter cap lies far above these grids.
+    # checks, n >= 1 first among them.  The row coordinates and the letters
+    # of the grid words at the worst-case relative word length decide the
+    # caps; at n = 1, grid_max 488 is past the letter cap.
     if rank < 4 or rank <= MAX_RANK and n < 1:
         check_run(argv, 2)
         return
     points = (grid_max + 1) ** n if n <= 3 else 1
+    keys = 1 + (points * points - 1) // (grid_max + 2)
     worst = 2 * grid_max * sum((rank + 3) * (t + 1) for t in range(1, n + 1))
     capped = (
         rank > MAX_RANK
         or points * (points + 1) // 2 * n > MAX_ROW_COORDINATES
-        or worst > length_cap
+        or (2 * points + keys) * worst > MAX_GRID_LETTERS
     )
     out = check_run(argv, 3 if capped else 0)
     if out:

@@ -2,21 +2,26 @@
 
 The qi-cert grids are the benchmark's, checked against the digests and
 row counts in perfbench/reference.json.  The torus-ball digests live in
-tests/golden/torus_ball.json, which names the command and commit that
-wrote it.
+tests/golden/torus_ball.json, and the exit code, stdout, stderr and
+output files of argvs over every subcommand in tests/golden/cli.json;
+each file names the command and commit that wrote it.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import shlex
 from pathlib import Path
+
+from helpers import cli_outcome
 
 from spotdisk.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
 TORUS_BALL = Path(__file__).with_name("golden") / "torus_ball.json"
+CLI = Path(__file__).with_name("golden") / "cli.json"
 
 
 def run(argv):
@@ -54,3 +59,10 @@ def test_torus_ball_stdout_and_dot_match_the_recorded_digests(tmp_path):
         assert code == 0, key
         assert sha256(out.encode()) == digests["stdout"], key
         assert sha256(path.read_bytes()) == digests["dot"], key
+
+
+def test_cli_runs_match_the_recorded_outcomes():
+    recorded = json.loads(CLI.read_text(encoding="utf-8"))["runs"]
+    assert {r["exit"] for r in recorded.values()} == {0, 2, 3}
+    for key, outcome in recorded.items():
+        assert cli_outcome(shlex.split(key)) == outcome, key

@@ -155,11 +155,6 @@ def test_grid_lower_bound_is_half_the_simple_length():
         assert row.lower == Fraction(simple_length(row.relative_word).value, 2)
 
 
-def test_grid_length_cap():
-    with pytest.raises(CapExceeded):
-        certify_grid(4, 3, 3, length_cap=100)
-
-
 def test_grid_custom_assignment_changes_words():
     rows_default = certify_grid(4, 1, 1)
     rows_custom = certify_grid(4, 1, 1, t_assignment=(3,))
@@ -315,11 +310,17 @@ def test_zero_exponents_build_no_push_word(monkeypatch):
         lambda_word(3, 1, (0,))
 
 
-def test_grid_length_cap_uses_the_push_word_lengths():
-    # worst case 2 * grid_max * sum_i (g+3)(t_i+1) = 2 * 2 * (14 + 21) = 140
-    assert len(certify_grid(4, 2, 2, length_cap=140)) == 45
+def test_grid_length_cap_uses_the_push_word_lengths(monkeypatch):
+    import spotdisk.qicert as qicert
+
+    # The letter cap bounds 2 * 9 points + 21 keys words of the worst-case
+    # length 2 * grid_max * sum_i (g+3)(t_i+1) = 2 * 2 * (28 + 14) = 168
+    # for t = (3, 1): (2 * 9 + 21) * 168 = 6552 letters.
+    monkeypatch.setattr(qicert, "MAX_GRID_LETTERS", 6552)
+    assert len(certify_grid(4, 2, 2, (3, 1))) == 45
+    monkeypatch.setattr(qicert, "MAX_GRID_LETTERS", 6551)
     with pytest.raises(CapExceeded):
-        certify_grid(4, 2, 2, length_cap=139)
+        certify_grid(4, 2, 2, (3, 1))
 
 
 def test_grid_budget_is_6_or_4_from_rank_6_before_any_word(monkeypatch):
@@ -382,7 +383,7 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
             for ts in (None, (2, 1, 2)[:n], (1,) * n):
                 seen.clear()
                 stops.clear()
-                certify_grid(g, n, grid_max, ts, length_cap=10**6)
+                certify_grid(g, n, grid_max, ts)
                 first_stops[g, n, ts] = len(stops)
                 for rank, letters, value in seen:
                     assert value == simple_length(ReducedWord(rank, letters)).value
@@ -393,7 +394,7 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
     # first time.
     for g in (4, 6):
         stops.clear()
-        certify_grid(g, 2, 8, length_cap=10**6)
+        certify_grid(g, 2, 8)
         assert len(stops) == first_stops[g, 2, None]
 
 

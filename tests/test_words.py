@@ -7,7 +7,6 @@ from spotdisk.errors import ParseError, RankError
 from spotdisk.words import (
     ReducedWord,
     concat,
-    format_compact,
     format_word,
     inverse,
     parse,
@@ -195,21 +194,8 @@ def test_parse_format_round_trip_random():
     for _ in range(300):
         w = random_reduced_word(rng, 5, rng.randint(0, 12))
         assert parse(format_word(w), 5) == w
-        assert parse(format_compact(w), 5) == w
-
-
-def test_format_compact_refuses_large_indices():
-    with pytest.raises(ValueError):
-        format_compact(ReducedWord(27, (27,)))
-
-
-def test_operator_sugar_matches_functions():
-    u = parse("x1 x2", 2)
-    v = parse("X2 x1", 2)
-    assert u * v == concat(u, v)
-    assert ~u == inverse(u)
-    assert u**2 == concat(u, u)
-    assert str(u) == "x1 x2"
+        compact = "".join("abcde"[a - 1] if a > 0 else "ABCDE"[-a - 1] for a in w.letters)
+        assert parse(compact, 5) == w
 
 
 def _not_cyclically_reduced(rng, rank):
