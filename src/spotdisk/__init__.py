@@ -49,7 +49,6 @@ from .words import (
     power,
     reduce,
     subword,
-    subwords,
 )
 
 __version__ = "0.1.0"

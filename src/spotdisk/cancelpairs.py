@@ -91,28 +91,21 @@ def _candidate_pairs(w: ReducedWord) -> list[CancellingPair]:
     return out
 
 
-def enumerate_nested_families(
-    w: ReducedWord,
-    max_pairs: int | None = None,
-    length_cap: int = DEFAULT_FAMILY_CAP,
-) -> Iterator[CancellingFamily]:
-    """All nested cancelling families of ``w`` with at most ``max_pairs``
-    pairs, the empty family first.
+def enumerate_nested_families(w: ReducedWord) -> Iterator[CancellingFamily]:
+    """All nested cancelling families of ``w``, the empty family first;
+    words longer than ``DEFAULT_FAMILY_CAP`` letters are refused.
 
     Families are emitted in depth-first order over the candidate pairs
     sorted by their ranges, so the enumeration is deterministic and free
     of duplicates.
     """
     n = len(w)
-    if n > length_cap:
-        raise CapExceeded(f"word length {n} exceeds family enumeration cap {length_cap}")
-    limit = n // 2 if max_pairs is None else max_pairs
+    if n > DEFAULT_FAMILY_CAP:
+        raise CapExceeded(f"word length {n} exceeds family enumeration cap {DEFAULT_FAMILY_CAP}")
     cands = _candidate_pairs(w)
 
     def walk(start: int, chosen: list[CancellingPair]) -> Iterator[CancellingFamily]:
         yield CancellingFamily(tuple(chosen))
-        if len(chosen) >= limit:
-            return
         for idx in range(start, len(cands)):
             cand = cands[idx]
             if all(_compatible(cand, p) for p in chosen):

@@ -43,7 +43,7 @@ def _open_output(path: str | None):
     """Open an output file named on the command line, or a null context
     when there is none.  Commands call this after their argument checks
     and before any work, so an unwritable path exits 2 with no output."""
-    if not path:
+    if path is None:
         return nullcontext()
     try:
         return open(path, "w", encoding="utf-8")
@@ -139,7 +139,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 def _cmd_torus_ball(args: argparse.Namespace) -> int:
     torustree.ball_size(args.radius, args.valency, args.leaves)
-    if args.dot:
+    if args.dot is not None:
         torustree.dot_size(args.radius, args.valency, args.leaves)
     with _open_output(args.dot) as dot:
         ball = torustree.build_ball(args.radius, args.valency, args.leaves)

@@ -1,6 +1,6 @@
 """Lattice embedding certificates for the sphere graph at desk scale.
 
-For each coordinate i a fixed push word ``b_t`` (a product of letter
+For each coordinate i the fixed push word ``b_i`` (a product of letter
 powers that keeps every single push at bounded cost) moves the base
 disk; the lattice point (k_1, .., k_n) maps to the disk pushed along
 ``b_1^{k_1} .. b_n^{k_n}``.  For a pair of lattice points the certificate
@@ -36,7 +36,8 @@ without a piece to find; every other stop is a walk down the trie.  The trie
 belongs to one :func:`certify_grid` call, and so to one rank.
 
 The upper bound of a row is the total of the :func:`upper_bound` trace,
-sum_i (budget*|k_i - l_i| + 8) = budget*displacement + 8n, and
+sum_i (6|k_i - l_i| + 8) = 6 displacement + 8n, with 6 the per-power
+move budget ``PUSH_STEP_BUDGET``, and
 :func:`certify_grid` writes it in that closed form without building the
 3n trace steps; :func:`upper_bound` stays the trace that audits it.
 """
@@ -58,7 +59,6 @@ from .words import ReducedWord, concat, inverse, power
 
 __all__ = [
     "PUSH_STEP_BUDGET",
-    "PUSH_STEP_BUDGET_HIGH_RANK",
     "CertificateRow",
     "GridSummary",
     "make_bt",
@@ -71,10 +71,9 @@ __all__ = [
     "to_csv",
 ]
 
-# Cost of moving the base disk by one full push word.  The conservative
-# budget 6 holds from rank 4 on; ranks >= 6 admit the tighter budget 4.
+# Cost of moving the base disk by one full push word; this budget holds
+# from rank 4 on.
 PUSH_STEP_BUDGET = 6
-PUSH_STEP_BUDGET_HIGH_RANK = 4
 
 MIN_RANK = 4
 # Largest grid built: rows times coordinates, and letters in the push words,
@@ -98,63 +97,42 @@ def make_bt(g: int, t: int) -> ReducedWord:
     return ReducedWord(g, letters)
 
 
-def _assignment(n: int, t_assignment: Sequence[int] | None) -> tuple[int, ...]:
-    ts = tuple(t_assignment) if t_assignment is not None else tuple(range(1, n + 1))
-    if len(ts) != n:
-        raise ValueError(f"need {n} push word indices, got {len(ts)}")
-    if any(t < 1 for t in ts):
-        raise ValueError("push word indices must be at least 1")
-    return ts
-
-
 def _check_rank(g: int) -> None:
     if g < MIN_RANK:
         raise ValueError(f"push words need rank at least {MIN_RANK}, got {g}")
 
 
-def lambda_word(
-    g: int, n: int, k: Sequence[int], t_assignment: Sequence[int] | None = None
-) -> ReducedWord:
+def lambda_word(g: int, n: int, k: Sequence[int]) -> ReducedWord:
     """Reduced push word of the lattice point k: the product of the
-    coordinate push words raised to the coordinates."""
+    coordinate push words b_i raised to the coordinates k_i."""
     _check_rank(g)
     if n < 1:
         raise ValueError(f"need at least one coordinate, got {n}")
     k = tuple(k)
     if len(k) != n:
         raise ValueError(f"lattice point has {len(k)} coordinates, expected {n}")
-    ts = _assignment(n, t_assignment)
     out = ReducedWord.identity(g)
-    for ki, t in zip(k, ts):
+    for t, ki in enumerate(k, 1):
         if ki:
             out = concat(out, power(make_bt(g, t), ki))
     return out
 
 
-def relative_word(
-    g: int,
-    n: int,
-    k: Sequence[int],
-    ell: Sequence[int],
-    t_assignment: Sequence[int] | None = None,
-) -> ReducedWord:
+def relative_word(g: int, n: int, k: Sequence[int], ell: Sequence[int]) -> ReducedWord:
     """Relative class of the pair (k, ell): inverse push word of k times
     the push word of ell, freely reduced.  Vanishes iff k == ell."""
-    return concat(
-        inverse(lambda_word(g, n, k, t_assignment)), lambda_word(g, n, ell, t_assignment)
-    )
+    return concat(inverse(lambda_word(g, n, k)), lambda_word(g, n, ell))
 
 
-def upper_bound(
-    k: Sequence[int], ell: Sequence[int], budget: int = PUSH_STEP_BUDGET
-) -> BoundTrace:
+def upper_bound(k: Sequence[int], ell: Sequence[int]) -> BoundTrace:
     """Upper distance bound between the disks of two lattice points.
 
     One transport step per coordinate, processed from the last
-    coordinate inward: moving coordinate i costs ``budget`` per power
-    plus a flat 8 for carrying the move through the untouched prefix:
-    two opposite-side swaps of cost 4 around a free relabel of the fixed
-    side by the prefix.  The trace total is sum_i (budget*|k_i - ell_i| + 8).
+    coordinate inward: moving coordinate i costs the budget 6
+    (``PUSH_STEP_BUDGET``) per power plus a flat 8 for carrying the move
+    through the untouched prefix: two opposite-side swaps of cost 4
+    around a free relabel of the fixed side by the prefix.  The trace
+    total is sum_i (6|k_i - ell_i| + 8).
     """
     k, ell = tuple(k), tuple(ell)
     if len(k) != len(ell):
@@ -166,7 +144,7 @@ def upper_bound(
             TraceStep(
                 "distanceestimate",
                 f"move coordinate {i} by {delta} powers of its push word",
-                budget * delta,
+                PUSH_STEP_BUDGET * delta,
             )
         )
         steps.append(
@@ -203,32 +181,21 @@ class GridSummary(Record):
     max_ratio: Fraction | None
 
 
-def check_grid(
-    g: int,
-    n: int,
-    grid_max: int,
-    t_assignment: Sequence[int] | None = None,
-    budget: int = PUSH_STEP_BUDGET,
-) -> tuple[int, ...]:
+def check_grid(g: int, n: int, grid_max: int) -> None:
     """Check the arguments and caps of :func:`certify_grid` from counts
-    alone, before anything is allocated; return the push word indices.
+    alone, before anything is allocated.
 
     For grid_max m there are P = (m+1)^n points, P(P+1)/2 rows and
     1 + sum_i m (m+1)^(2(n-i)) = 1 + (P^2 - 1)/(m + 2) keys.  The 2P
     push words and inverses and the keys' relative words are each at
-    most the worst-case relative word length long.
+    most the worst-case relative word length
+    2m sum_{t=1..n} (g+3)(t+1) = m (g+3) n (n+3) long.
     """
     _check_rank(g)
     if grid_max < 0:
         raise ValueError(f"grid_max must be nonnegative, got {grid_max}")
     if n < 1:
         raise ValueError(f"need at least one coordinate, got {n}")
-    if budget not in (PUSH_STEP_BUDGET, PUSH_STEP_BUDGET_HIGH_RANK):
-        raise ValueError(
-            f"budget must be {PUSH_STEP_BUDGET} or {PUSH_STEP_BUDGET_HIGH_RANK}, got {budget}"
-        )
-    if budget == PUSH_STEP_BUDGET_HIGH_RANK and g < 6:
-        raise ValueError(f"budget {budget} needs rank at least 6, got {g}")
     # Past the cap in points the rows are too; m = 0 leaves one point.
     points = 1
     for _ in range(n if grid_max else 0):
@@ -237,21 +204,13 @@ def check_grid(
         points *= grid_max + 1
     if points * (points + 1) // 2 * n > MAX_ROW_COORDINATES:
         raise CapExceeded(f"grid has more than {MAX_ROW_COORDINATES} row coordinates")
-    ts = _assignment(n, t_assignment)
-    worst = 2 * grid_max * sum((g + 3) * (t + 1) for t in ts)
+    worst = grid_max * (g + 3) * n * (n + 3)
     keys = 1 + (points * points - 1) // (grid_max + 2)
     if (2 * points + keys) * worst > MAX_GRID_LETTERS:
         raise CapExceeded(f"grid words may reach more than {MAX_GRID_LETTERS} letters")
-    return ts
 
 
-def certify_grid(
-    g: int,
-    n: int,
-    grid_max: int,
-    t_assignment: Sequence[int] | None = None,
-    budget: int = PUSH_STEP_BUDGET,
-) -> list[CertificateRow]:
+def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
     """Certificate rows for every unordered pair of points in
     {0..grid_max}^n, in lexicographic (k, l) order.
 
@@ -259,12 +218,12 @@ def certify_grid(
     relative words and their lower bounds once per key (k', l') of the
     module docstring, the lower bounds through this call's trie; the
     displacement, upper bound and ratio are per row.  :func:`check_grid`
-    runs first: the budget must be 6, or 4 from rank 6 on.
+    runs first.
     """
-    ts = check_grid(g, n, grid_max, t_assignment, budget)
+    check_grid(g, n, grid_max)
     points = sorted(product(range(grid_max + 1), repeat=n))
     zero = points[0]
-    lattice = {p: lambda_word(g, n, p, ts) for p in points}
+    lattice = {p: lambda_word(g, n, p) for p in points}
     inverses = {p: inverse(w) for p, w in lattice.items()}
     pieces: dict = {}
     lower_bounds: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[ReducedWord, Fraction]] = {}
@@ -290,7 +249,7 @@ def certify_grid(
                     displacement,
                     rel,
                     lower,
-                    budget * displacement + 8 * n,
+                    PUSH_STEP_BUDGET * displacement + 8 * n,
                     lower / displacement if displacement else None,
                 )
             )

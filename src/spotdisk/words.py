@@ -37,7 +37,6 @@ __all__ = [
     "inverse",
     "power",
     "subword",
-    "subwords",
     "parse",
     "format_word",
 ]
@@ -150,18 +149,6 @@ def subword(w: ReducedWord, start: int, stop: int) -> ReducedWord:
     if not 0 <= start <= stop <= len(w):
         raise IndexError(f"subword range [{start}, {stop}) outside word of length {len(w)}")
     return _trusted(w.rank, w.letters[start:stop])
-
-
-def subwords(w: ReducedWord) -> Iterator[tuple[int, int, ReducedWord]]:
-    """Enumerate all nonempty contiguous subwords as ``(start, stop, word)``.
-
-    A word of length n yields n(n+1)/2 entries, in lexicographic
-    ``(start, stop)`` order.
-    """
-    n = len(w)
-    for start in range(n):
-        for stop in range(start + 1, n + 1):
-            yield start, stop, subword(w, start, stop)
 
 
 _TOKEN = re.compile(r"[xX][0-9]+\Z")

@@ -49,6 +49,7 @@ ARGVS = [
     ("wg", "x1", "--rank", "1"),
     ("wg", "x3", "--rank", "2"),
     ("wg", "x1", "--rank", "2", "--dot", "."),
+    ("wg", "x1", "--rank", "2", "--dot", ""),
     ("wg", "x1", "--rank", "1", "--dot", "out.dot"),
     ("wg", "x1", "--rank", RANK_CAP),
     ("wg", "x1", "--rank", RANK_CAP, "--dot", "out.dot"),
@@ -97,6 +98,7 @@ ARGVS = [
     _qi(4, 1, -1),
     _qi(4, 1, 1, "--jobs", "0"),
     _qi(4, 1, 1, "--csv", "."),
+    _qi(4, 1, 1, "--csv", ""),
     _qi(4, 1, 1, "--budget", "4"),
     _qi(RANK_CAP, 1, 1),
     _qi(4, 30000000, 0, "--csv", "out.csv"),
@@ -119,6 +121,7 @@ ARGVS = [
     _ball(1, 0, 0),
     _ball(1, 1, -1, "--dot", "out.dot"),
     _ball(1, 1, 0, "--dot", "."),
+    _ball(1, 1, 0, "--dot", ""),
     _ball(30, 2, 0, "--dot", "out.dot"),
     _ball(999999, 1, 0, "--dot", "out.dot"),
     # no subcommand

@@ -110,14 +110,6 @@ def test_four_cycle_word_families_by_hand():
     }
 
 
-def test_max_pairs_truncates_enumeration():
-    w = parse("x2 x1 x2 X1 X2", 2)
-    all_families = list(enumerate_nested_families(w))
-    capped = list(enumerate_nested_families(w, max_pairs=1))
-    assert max(len(f.pairs) for f in all_families) == 2
-    assert max(len(f.pairs) for f in capped) == 1
-
-
 def test_enumeration_cap():
     w = ReducedWord(2, tuple([1, 2] * 11))
     with pytest.raises(CapExceeded):

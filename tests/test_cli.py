@@ -305,6 +305,7 @@ def test_qi_cert_rejects_nonpositive_jobs(capsys):
 
 RANK_1 = "rank must be at least 2, got 1"
 DIRECTORY = "cannot write .: Is a directory"
+EMPTY_PATH = "cannot write : No such file or directory"
 
 
 @pytest.mark.parametrize(
@@ -338,6 +339,10 @@ DIRECTORY = "cannot write .: Is a directory"
             ("qi-cert", "--rank", "4", "--n", "-3", "--grid-max", "2"),
             "need at least one coordinate, got -3",
         ),
+        # an empty output path names no file: it is refused, not taken as none
+        (("wg", "x1", "--rank", "2", "--dot", ""), EMPTY_PATH),
+        (("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--csv", ""), EMPTY_PATH),
+        (("torus-ball", "--radius", "1", "--valency", "1", "--leaves", "0", "--dot", ""), EMPTY_PATH),
     ],
 )
 def test_bad_arguments_exit_2_before_any_work(capsys, argv, message):

@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 from helpers import random_reduced_word
 
+from spotdisk.cancelpairs import enumerate_nested_families
 from spotdisk.errors import CapExceeded
 from spotdisk.qicert import (
-    PUSH_STEP_BUDGET_HIGH_RANK,
     CertificateRow,
     certify_grid,
     lambda_word,
@@ -59,8 +59,6 @@ def test_lambda_word_validation():
         lambda_word(4, 2, (1,))
     with pytest.raises(ValueError):
         lambda_word(4, 0, ())
-    with pytest.raises(ValueError):
-        lambda_word(4, 1, (1,), t_assignment=(0,))
 
 
 def test_relative_word_on_the_diagonal_is_identity():
@@ -98,11 +96,6 @@ def test_upper_bound_trace_audit_random():
         assert upper_bound(ell, k).total == trace.total
         moves = [s.increment for s in trace.steps if s.rule == "distanceestimate"]
         assert (k == ell) == all(m == 0 for m in moves)
-
-
-def test_upper_bound_tight_budget_variant():
-    trace = upper_bound((0,), (3,), budget=PUSH_STEP_BUDGET_HIGH_RANK)
-    assert trace.total == 4 * 3 + 8
 
 
 def test_upper_bound_length_mismatch():
@@ -155,13 +148,6 @@ def test_grid_lower_bound_is_half_the_simple_length():
         assert row.lower == Fraction(simple_length(row.relative_word).value, 2)
 
 
-def test_grid_custom_assignment_changes_words():
-    rows_default = certify_grid(4, 1, 1)
-    rows_custom = certify_grid(4, 1, 1, t_assignment=(3,))
-    assert rows_custom[1].relative_word == make_bt(4, 3)
-    assert rows_default[1].relative_word == make_bt(4, 1)
-
-
 def test_csv_rendering():
     rows = certify_grid(4, 1, 1)
     text = to_csv(rows, 4)
@@ -204,13 +190,13 @@ def test_grid_word_example_expected_text():
     assert rel == inverse(make_bt(4, 1))
 
 
-def _per_pair_csv(g, n, grid_max, ts, budget):
+def _per_pair_csv(g, n, grid_max):
     """Rows and CSV built pair by pair from the definitions."""
     points = sorted(product(range(grid_max + 1), repeat=n))
     rows = []
     for idx, k in enumerate(points):
         for ell in points[idx:]:
-            rel = relative_word(g, n, k, ell, ts)
+            rel = relative_word(g, n, k, ell)
             lower = Fraction(simple_length(rel).value, 2)
             displacement = sum(abs(a - b) for a, b in zip(k, ell))
             rows.append(
@@ -220,7 +206,7 @@ def _per_pair_csv(g, n, grid_max, ts, budget):
                     displacement,
                     rel,
                     lower,
-                    upper_bound(k, ell, budget).total,
+                    upper_bound(k, ell).total,
                     lower / displacement if displacement else None,
                 )
             )
@@ -229,23 +215,21 @@ def _per_pair_csv(g, n, grid_max, ts, budget):
 
 def test_grid_rows_match_the_per_pair_definitions():
     cases = 0
-    for g in (4, 5, 6):
+    for g in range(4, 12):
         for n in (1, 2, 3):
             for grid_max in range(3 if n == 3 else 4):
-                for ts in (None, (2, 1, 2)[:n]):
-                    for budget in (6, 4) if g == 6 else (6,):
-                        rows = certify_grid(g, n, grid_max, ts, budget=budget)
-                        want, want_csv = _per_pair_csv(g, n, grid_max, ts, budget)
-                        assert len(rows) == len(want)
-                        for row, ref in zip(rows, want):
-                            assert (row.k, row.l) == (ref.k, ref.l)
-                            assert row.relative_word == ref.relative_word
-                            assert row.lower == ref.lower
-                            assert row.upper == ref.upper
-                            assert row == ref
-                        assert to_csv(rows, g) == want_csv
-                        cases += 1
-    assert cases == 3 * 11 * 2 + 11 * 2
+                rows = certify_grid(g, n, grid_max)
+                want, want_csv = _per_pair_csv(g, n, grid_max)
+                assert len(rows) == len(want)
+                for row, ref in zip(rows, want):
+                    assert (row.k, row.l) == (ref.k, ref.l)
+                    assert row.relative_word == ref.relative_word
+                    assert row.lower == ref.lower
+                    assert row.upper == ref.upper
+                    assert row == ref
+                assert to_csv(rows, g) == want_csv
+                cases += 1
+    assert cases == 8 * 11
 
 
 def test_grid_scans_each_relative_word_once(monkeypatch):
@@ -310,30 +294,6 @@ def test_zero_exponents_build_no_push_word(monkeypatch):
         lambda_word(3, 1, (0,))
 
 
-def test_grid_length_cap_uses_the_push_word_lengths(monkeypatch):
-    import spotdisk.qicert as qicert
-
-    # The letter cap bounds 2 * 9 points + 21 keys words of the worst-case
-    # length 2 * grid_max * sum_i (g+3)(t_i+1) = 2 * 2 * (28 + 14) = 168
-    # for t = (3, 1): (2 * 9 + 21) * 168 = 6552 letters.
-    monkeypatch.setattr(qicert, "MAX_GRID_LETTERS", 6552)
-    assert len(certify_grid(4, 2, 2, (3, 1))) == 45
-    monkeypatch.setattr(qicert, "MAX_GRID_LETTERS", 6551)
-    with pytest.raises(CapExceeded):
-        certify_grid(4, 2, 2, (3, 1))
-
-
-def test_grid_budget_is_6_or_4_from_rank_6_before_any_word(monkeypatch):
-    import spotdisk.qicert as qicert
-
-    built = []
-    monkeypatch.setattr(qicert, "make_bt", lambda g, t: built.append((g, t)))
-    for args, budget in (((4, 1, 1), 4), ((5, 1, 1), 4), ((4, 1, 1), 5), ((6, 1, 1), 8)):
-        with pytest.raises(ValueError):
-            certify_grid(*args, budget=budget)
-    assert built == []
-
-
 def test_grid_work_caps_count_rows_and_letters(monkeypatch):
     import spotdisk.qicert as qicert
 
@@ -378,16 +338,15 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
     monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
     keys = 0
     first_stops = {}
-    for g in (4, 5, 6):
+    for g in range(4, 13):
         for n, grid_max in ((2, 8), (3, 3)):
-            for ts in (None, (2, 1, 2)[:n], (1,) * n):
-                seen.clear()
-                stops.clear()
-                certify_grid(g, n, grid_max, ts)
-                first_stops[g, n, ts] = len(stops)
-                for rank, letters, value in seen:
-                    assert value == simple_length(ReducedWord(rank, letters)).value
-                keys += len(seen)
+            seen.clear()
+            stops.clear()
+            certify_grid(g, n, grid_max)
+            first_stops[g, n] = len(stops)
+            for rank, letters, value in seen:
+                assert value == simple_length(ReducedWord(rank, letters)).value
+            keys += len(seen)
     assert keys == 3 * 3 * (1 + 8 * 9**2 + 8 + 1 + 3 * 4**4 + 3 * 4**2 + 3)
     # Each call starts from an empty trie: after every grid above, a
     # rank-4 and a rank-6 grid again run the greedy stop as often as the
@@ -395,7 +354,7 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
     for g in (4, 6):
         stops.clear()
         certify_grid(g, 2, 8)
-        assert len(stops) == first_stops[g, 2, None]
+        assert len(stops) == first_stops[g, 2]
 
 
 def test_trie_walk_matches_simple_length_on_every_prefix():
@@ -412,3 +371,16 @@ def test_trie_walk_matches_simple_length_on_every_prefix():
                 prefix = w.letters[:j]
                 want = simple_length(ReducedWord(rank, prefix)).value
                 assert _trie_simple_length(trie, rank, prefix) == want
+
+
+def test_retired_keywords_are_not_accepted():
+    # push word b_i for coordinate i, the budget 6 and the family cap are
+    # constants, not keyword arguments
+    with pytest.raises(TypeError):
+        certify_grid(4, 1, 1, budget=6)
+    with pytest.raises(TypeError):
+        certify_grid(4, 1, 1, t_assignment=(1,))
+    with pytest.raises(TypeError):
+        upper_bound((0,), (1,), budget=6)
+    with pytest.raises(TypeError):
+        list(enumerate_nested_families(ReducedWord(2, (1, 2)), max_pairs=1))
