@@ -166,7 +166,7 @@ def _least_leftover_costs(w: ReducedWord) -> dict[int, int]:
     return h[0, n]
 
 
-def cr_lower_bound(w: ReducedWord, length_cap: int = DEFAULT_CR_CAP) -> Fraction:
+def cr_lower_bound(w: ReducedWord) -> Fraction:
     """Erased-family lower bound for the conjugate-reduced length.
 
     Minimizes max(k/2 - 1, (k + S)/5 - 3) over every nested family,
@@ -182,8 +182,8 @@ def cr_lower_bound(w: ReducedWord, length_cap: int = DEFAULT_CR_CAP) -> Fraction
     bound is then 0 without the dynamic program.
     """
     n = len(w)
-    if n > length_cap:
-        raise CapExceeded(f"word length {n} exceeds lower bound cap {length_cap}")
+    if n > DEFAULT_CR_CAP:
+        raise CapExceeded(f"word length {n} exceeds lower bound cap {DEFAULT_CR_CAP}")
     if simple_length(w).value <= 15:
         return Fraction(0)
     best = min(

@@ -17,7 +17,7 @@ import sys
 from contextlib import nullcontext
 
 from . import cancelpairs, pushcalc, qicert, torustree, whitehead
-from .errors import CapExceeded, ParseError, RankError
+from .errors import CapExceeded, RankError
 from .words import format_word, parse
 
 __all__ = ["main"]
@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, RankError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

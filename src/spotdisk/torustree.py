@@ -14,9 +14,7 @@ from typing import Iterator
 from ._record import Record
 from .errors import CapExceeded
 
-__all__ = [
-    "TorusDiskBall", "ball_size", "build_ball", "dot_lines", "dot_size", "is_tree", "to_dot",
-]
+__all__ = ["TorusDiskBall", "ball_size", "build_ball", "dot_lines", "dot_size", "is_tree"]
 
 ROOT = "d"
 # Largest ball built: `torus-ball` at this size peaks below 200 MB.
@@ -94,11 +92,11 @@ def _digits_below(n: int) -> int:
 
 
 def dot_size(radius: int, tree_valency: int, leaf_count: int) -> int:
-    """Byte count of :func:`to_dot` on :func:`build_ball`'s ball, found
+    """Byte count of :func:`dot_lines` on :func:`build_ball`'s ball, found
     by arithmetic after :func:`ball_size`; above MAX_DOT_BYTES it raises
     CapExceeded instead.
 
-    >>> dot_size(1, 1, 1) == len(to_dot(build_ball(1, 1, 1)))
+    >>> dot_size(1, 1, 1) == len("".join(dot_lines(build_ball(1, 1, 1))))
     True
     """
     ball_size(radius, tree_valency, leaf_count)
@@ -195,8 +193,3 @@ def dot_lines(ball: TorusDiskBall) -> Iterator[str]:
     for u, v in ball.edges:
         yield _EDGE.format(labels[u], labels[v])
     yield _TAIL
-
-
-def to_dot(ball: TorusDiskBall) -> str:
-    """The lines of :func:`dot_lines` as one text."""
-    return "".join(dot_lines(ball))

@@ -127,6 +127,15 @@ ARGVS = [
     # no subcommand
     (),
 ]
+# torus-ball DOT files over criterion 8's ranges, plus balls whose labels
+# carry two-digit indices
+BALLS = [
+    (radius, valency, leaves)
+    for radius in range(5)
+    for valency in range(1, 5)
+    for leaves in range(4)
+] + [(1, 11, 0), (2, 11, 1), (1, 2, 11), (2, 11, 11)]
+ARGVS += [a for a in (_ball(*ball, "--dot", "out.dot") for ball in BALLS) if a not in ARGVS]
 
 
 if __name__ == "__main__":

@@ -170,7 +170,10 @@ def test_cr_lower_bound_matches_family_enumeration():
         assert cr_lower_bound(w) == max(best, Fraction(0)), str(w)
 
 
-def test_cr_lower_bound_past_the_early_exit_matches_the_dp():
+def test_cr_lower_bound_past_the_early_exit_matches_the_dp(monkeypatch):
+    import spotdisk.cancelpairs as cancelpairs
+
+    monkeypatch.setattr(cancelpairs, "DEFAULT_CR_CAP", 80)
     # simple length 16 each: the commutator power has cancelling pairs,
     # the positive word has none and so scores 16/5 - 3 = 1/5
     words = [ReducedWord(2, (1, 2, -1, -2) * 20), ReducedWord(2, (1, 1, 2, 2) * 20)]
@@ -180,9 +183,23 @@ def test_cr_lower_bound_past_the_early_exit_matches_the_dp():
             max(Fraction(k, 2) - 1, Fraction(k + s, 5) - 3)
             for k, s in _least_leftover_costs(w).items()
         )
-        assert cr_lower_bound(w, length_cap=len(w)) == max(best, Fraction(0)), str(w)
-    assert cr_lower_bound(words[1], length_cap=80) == Fraction(1, 5)
-    assert cr_lower_bound(ReducedWord(2, (1, 1, 2, 2) * 19), length_cap=80) == 0
+        assert cr_lower_bound(w) == max(best, Fraction(0)), str(w)
+    assert cr_lower_bound(words[1]) == Fraction(1, 5)
+    assert cr_lower_bound(ReducedWord(2, (1, 1, 2, 2) * 19)) == 0
+
+
+def test_simple_pieces_have_at_least_2g_plus_1_letters():
+    # Each of the 2g Whitehead vertices of a simple piece needs two distinct
+    # neighbours, so its n - 1 edges number at least 2g.  Hence S0 <= 6 at
+    # the 32-letter cap, the early exit (S0 <= 15) always fires, and
+    # cr-bounds prints a lower bound of 0 for every word it accepts.
+    rng = random.Random(20260810)  # criterion 2's corpora
+    words = list(all_reduced_words(2, 8))
+    words += [
+        random_reduced_word(rng, rank, rng.randint(0, 14)) for rank in (3, 4) for _ in range(5000)
+    ]
+    for w in words:
+        assert simple_length(w).value * (2 * w.rank + 1) <= len(w), str(w)
 
 
 def test_cr_bruteforce_identity():

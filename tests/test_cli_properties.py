@@ -13,7 +13,7 @@ import pytest
 from spotdisk import torustree
 from spotdisk.cli import MAX_RANK, main
 from spotdisk.qicert import MAX_GRID_LETTERS, MAX_ROW_COORDINATES
-from spotdisk.torustree import MAX_BALL_VERTICES, build_ball, to_dot
+from spotdisk.torustree import MAX_BALL_VERTICES, build_ball, dot_lines
 from spotdisk.whitehead import ORACLE_CAP
 from spotdisk.words import ReducedWord, concat, format_word
 
@@ -180,7 +180,7 @@ def test_torus_ball_exits_by_cap_and_repeats(shape, leaves):
     st.integers(0, 4), st.integers(1, 4), st.integers(0, 3), st.sampled_from([0, 1])
 )
 def test_torus_ball_dot_exits_by_cap_and_repeats(radius, valency, leaves, past):
-    text = to_dot(build_ball(radius, valency, leaves))
+    text = "".join(dot_lines(build_ball(radius, valency, leaves)))
     # the DOT cap at the ball's DOT size, or one byte below it
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         torustree, "MAX_DOT_BYTES", len(text.encode()) - past

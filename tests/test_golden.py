@@ -1,10 +1,9 @@
 """Byte guards: CLI output that must stay identical across commits.
 
 The qi-cert grids are the benchmark's, checked against the digests and
-row counts in perfbench/reference.json.  The torus-ball digests live in
-tests/golden/torus_ball.json, and the exit code, stdout, stderr and
-output files of argvs over every subcommand in tests/golden/cli.json;
-each file names the command and commit that wrote it.
+row counts in perfbench/reference.json.  The exit code, stdout, stderr
+and output files of argvs over every subcommand live in
+tests/golden/cli.json, which names the command and commit that wrote it.
 """
 
 import contextlib
@@ -20,7 +19,6 @@ from spotdisk.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
-TORUS_BALL = Path(__file__).with_name("golden") / "torus_ball.json"
 CLI = Path(__file__).with_name("golden") / "cli.json"
 
 
@@ -45,24 +43,26 @@ def test_qi_cert_grids_match_the_benchmark_reference():
         assert f"\nrows: {entry['rows']}\n" in out, key
 
 
-def test_torus_ball_stdout_and_dot_match_the_recorded_digests(tmp_path):
-    recorded = json.loads(TORUS_BALL.read_text(encoding="utf-8"))["balls"]
-    # criterion 8's ranges, plus two-digit child and leaf indices
-    expected = {f"{r} {v} {l}" for r in range(5) for v in range(1, 5) for l in range(4)}
-    expected |= {"1 11 0", "2 11 1", "1 2 11", "2 11 11"}
-    assert set(recorded) == expected
-    path = tmp_path / "ball.dot"
-    for key, digests in recorded.items():
-        radius, valency, leaves = key.split()
-        argv = ["torus-ball", "--radius", radius, "--valency", valency, "--leaves", leaves]
-        code, out = run([*argv, "--dot", str(path)])
-        assert code == 0, key
-        assert sha256(out.encode()) == digests["stdout"], key
-        assert sha256(path.read_bytes()) == digests["dot"], key
+# torus-ball DOT files over criterion 8's ranges, plus two-digit child and
+# leaf indices; recorded in cli.json with the other argvs
+BALLS = [(r, v, l) for r in range(5) for v in range(1, 5) for l in range(4)]
+BALLS += [(1, 11, 0), (2, 11, 1), (1, 2, 11), (2, 11, 11)]
+BALL_KEYS = {
+    f"torus-ball --radius {r} --valency {v} --leaves {l} --dot out.dot" for r, v, l in BALLS
+}
+
+
+def test_torus_ball_stdout_and_dot_match_the_recorded_digests():
+    recorded = json.loads(CLI.read_text(encoding="utf-8"))["runs"]
+    assert len(BALL_KEYS) == 84
+    for key in sorted(BALL_KEYS):
+        assert recorded[key]["exit"] == 0, key
+        assert cli_outcome(shlex.split(key)) == recorded[key], key
 
 
 def test_cli_runs_match_the_recorded_outcomes():
     recorded = json.loads(CLI.read_text(encoding="utf-8"))["runs"]
     assert {r["exit"] for r in recorded.values()} == {0, 2, 3}
     for key, outcome in recorded.items():
-        assert cli_outcome(shlex.split(key)) == outcome, key
+        if key not in BALL_KEYS:
+            assert cli_outcome(shlex.split(key)) == outcome, key

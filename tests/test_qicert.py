@@ -5,7 +5,9 @@ from itertools import product
 import pytest
 from helpers import random_reduced_word
 
-from spotdisk.cancelpairs import enumerate_nested_families
+import spotdisk
+from spotdisk import torustree
+from spotdisk.cancelpairs import cr_lower_bound, enumerate_nested_families
 from spotdisk.errors import CapExceeded
 from spotdisk.qicert import (
     CertificateRow,
@@ -374,8 +376,8 @@ def test_trie_walk_matches_simple_length_on_every_prefix():
 
 
 def test_retired_keywords_are_not_accepted():
-    # push word b_i for coordinate i, the budget 6 and the family cap are
-    # constants, not keyword arguments
+    # push word b_i for coordinate i, the budget 6, the family cap and the
+    # lower bound cap are constants, not keyword arguments
     with pytest.raises(TypeError):
         certify_grid(4, 1, 1, budget=6)
     with pytest.raises(TypeError):
@@ -384,3 +386,8 @@ def test_retired_keywords_are_not_accepted():
         upper_bound((0,), (1,), budget=6)
     with pytest.raises(TypeError):
         list(enumerate_nested_families(ReducedWord(2, (1, 2)), max_pairs=1))
+    with pytest.raises(TypeError):
+        cr_lower_bound(ReducedWord(2, (1, 2)), length_cap=80)
+    # each name has one home, its module, and test-only wrappers are gone
+    assert not hasattr(torustree, "to_dot")
+    assert not hasattr(spotdisk, "simple_length")

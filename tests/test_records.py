@@ -100,9 +100,9 @@ CASES = [
     (
         TorusDiskBall,
         ("radius", "valency_cap", "leaf_count", "nonseparating", "separating", "edges"),
-        (1, 1, 0, ("d", "d.0"), (), (("d", "d.0"),)),
-        "TorusDiskBall(radius=1, valency_cap=1, leaf_count=0, nonseparating=('d', 'd.0'), "
-        "separating=(), edges=(('d', 'd.0'),))",
+        (1, 1, 0, range(2), range(2, 2), ((0, 1),)),
+        "TorusDiskBall(radius=1, valency_cap=1, leaf_count=0, nonseparating=range(0, 2), "
+        "separating=range(2, 2), edges=((0, 1),))",
     ),
 ]
 

@@ -2,7 +2,7 @@ import pytest
 from helpers import tree_has_cycle
 
 from spotdisk.errors import CapExceeded
-from spotdisk.torustree import build_ball, dot_size, is_tree, to_dot
+from spotdisk.torustree import build_ball, dot_lines, dot_size, is_tree
 
 
 def test_radius_zero_is_a_single_vertex():
@@ -68,8 +68,8 @@ def test_dot_size_counts_the_dot_bytes(monkeypatch):
     balls = [(r, v, l) for r in range(5) for v in range(1, 5) for l in range(4)]
     balls += [(1, 11, 0), (2, 11, 1), (1, 2, 11), (2, 11, 11)]
     for args in balls:
-        assert dot_size(*args) == len(to_dot(build_ball(*args)).encode()), args
-    size = len(to_dot(build_ball(2, 11, 11)).encode())
+        assert dot_size(*args) == len("".join(dot_lines(build_ball(*args))).encode()), args
+    size = len("".join(dot_lines(build_ball(2, 11, 11))).encode())
     monkeypatch.setattr(torustree, "MAX_DOT_BYTES", size)
     assert dot_size(2, 11, 11) == size
     monkeypatch.setattr(torustree, "MAX_DOT_BYTES", size - 1)
@@ -84,7 +84,7 @@ def test_dot_size_counts_the_dot_bytes(monkeypatch):
 
 def test_dot_marks_separating_leaves():
     ball = build_ball(1, 1, 1)
-    text = to_dot(ball)
+    text = "".join(dot_lines(ball))
     assert '"d" [shape=circle];' in text
     assert '"d.s0" [shape=box];' in text
     assert '"d" -- "d.0";' in text
