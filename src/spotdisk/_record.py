@@ -18,14 +18,14 @@ _set = object.__setattr__
 class Record:
     """Base for immutable values whose fields are named by ``__slots__``.
 
-    Construction takes the fields positionally or by keyword and then
-    calls :meth:`_check`.  Instances compare equal only to instances of
+    Construction takes the fields positionally and then calls
+    :meth:`_check`.  Instances compare equal only to instances of
     the same type with equal fields, hash like the tuple of their fields,
     and refuse assignment and deletion.
 
     >>> class Point(Record):
     ...     __slots__ = ("x", "y")
-    >>> p = Point(1, y=2)
+    >>> p = Point(1, 2)
     >>> p
     Point(x=1, y=2)
     >>> p == Point(1, 2), hash(p) == hash((1, 2))
@@ -38,15 +38,8 @@ class Record:
 
     __slots__ = ()
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
+    def __init__(self, *args: Any) -> None:
         names = self.__slots__
-        if kwargs:
-            try:
-                args += tuple(kwargs.pop(name) for name in names[len(args) :])
-            except KeyError as exc:
-                raise TypeError(f"{type(self).__name__} missing field {exc}") from None
-            if kwargs:
-                raise TypeError(f"{type(self).__name__} got unexpected fields {sorted(kwargs)}")
         if len(args) != len(names):
             raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
         for name, value in zip(names, args):

@@ -21,7 +21,6 @@ from .words import ReducedWord, subword
 
 __all__ = [
     "CancellingPair",
-    "CancellingFamily",
     "ConjugateReducedWitness",
     "enumerate_nested_families",
     "cr_lower_bound",
@@ -39,11 +38,6 @@ class CancellingPair(Record):
     __slots__ = ("first", "second")
     first: tuple[int, int]
     second: tuple[int, int]
-
-
-class CancellingFamily(Record):
-    __slots__ = ("pairs",)
-    pairs: tuple[CancellingPair, ...]
 
 
 class ConjugateReducedWitness(Record):
@@ -91,9 +85,10 @@ def _candidate_pairs(w: ReducedWord) -> list[CancellingPair]:
     return out
 
 
-def enumerate_nested_families(w: ReducedWord) -> Iterator[CancellingFamily]:
-    """All nested cancelling families of ``w``, the empty family first;
-    words longer than ``DEFAULT_FAMILY_CAP`` letters are refused.
+def enumerate_nested_families(w: ReducedWord) -> Iterator[tuple[CancellingPair, ...]]:
+    """All nested cancelling families of ``w``, each a tuple of pairs, the
+    empty family first; words longer than ``DEFAULT_FAMILY_CAP`` letters
+    are refused.
 
     Families are emitted in depth-first order over the candidate pairs
     sorted by their ranges, so the enumeration is deterministic and free
@@ -104,8 +99,8 @@ def enumerate_nested_families(w: ReducedWord) -> Iterator[CancellingFamily]:
         raise CapExceeded(f"word length {n} exceeds family enumeration cap {DEFAULT_FAMILY_CAP}")
     cands = _candidate_pairs(w)
 
-    def walk(start: int, chosen: list[CancellingPair]) -> Iterator[CancellingFamily]:
-        yield CancellingFamily(tuple(chosen))
+    def walk(start: int, chosen: list[CancellingPair]) -> Iterator[tuple[CancellingPair, ...]]:
+        yield tuple(chosen)
         for idx in range(start, len(cands)):
             cand = cands[idx]
             if all(_compatible(cand, p) for p in chosen):

@@ -130,13 +130,13 @@ def q_class(alpha: ArcLabel, beta: ArcLabel) -> ReducedWord:
 def disk_normalize(w: ReducedWord, c_index: int | None = None) -> DiskLabel:
     """Canonical disk label for the coset of ``w``: strip the maximal
     leading power of the coset letter (default: the top basis letter).
+    An index outside ``1..rank`` strips nothing, and :class:`DiskLabel`
+    rejects it.
 
     >>> str(disk_normalize(ReducedWord(2, (2, 2, 1)), 2).coset_rep)
     'x1'
     """
     c = w.rank if c_index is None else c_index
-    if not 1 <= c <= w.rank:
-        raise RankError(f"coset letter index {c} outside rank {w.rank}")
     i = 0
     while i < len(w.letters) and abs(w.letters[i]) == c:
         i += 1

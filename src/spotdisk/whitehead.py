@@ -67,9 +67,6 @@ __all__ = [
     "to_dot",
 ]
 
-# Degenerate multigraphs with fewer than this many edges always count as
-# having a cut vertex (single letters and two-letter words).
-MIN_EDGES_FOR_CUT_FREE = 2
 ORACLE_CAP = 14  # longest word simple_length_bruteforce accepts
 
 
@@ -158,19 +155,17 @@ def whitehead_graph(w: ReducedWord) -> WhiteheadGraph:
     )
 
 
-def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]], edge_count: int) -> bool:
+def _cut_vertex_in(verts: tuple[int, ...], adj: dict[int, set[int]]) -> bool:
     """Cut-vertex verdict for the multigraph on ``verts``, all 2g >= 4
     vertices of its rank.
 
-    True when there are fewer than MIN_EDGES_FOR_CUT_FREE edges, when the
-    graph on ``verts`` is disconnected (isolated vertices included), or
-    when removing some single vertex disconnects the rest.  Articulation
-    testing uses low-links on the underlying simple graph; parallel edges
-    never change vertex connectivity.  The depth-first search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    True when the graph on ``verts`` is disconnected (isolated vertices
+    included, so every graph of fewer than two edges), or when removing
+    some single vertex disconnects the rest.  Articulation testing uses
+    low-links on the underlying simple graph; parallel edges never change
+    vertex connectivity.  The depth-first search keeps an explicit stack,
+    so its depth is not bounded by the recursion limit.
     """
-    if edge_count < MIN_EDGES_FOR_CUT_FREE:
-        return True
     root = verts[0]
     disc = {root: 0}
     low = {root: 0}
@@ -207,7 +202,7 @@ def has_cut_vertex(graph: WhiteheadGraph) -> bool:
     >>> has_cut_vertex(whitehead_graph(ReducedWord(2, (1,))))
     True
     """
-    return _cut_vertex_in(graph.vertices, graph.adjacency(), graph.edge_count)
+    return _cut_vertex_in(graph.vertices, graph.adjacency())
 
 
 def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
@@ -217,7 +212,11 @@ def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
     distinct edge lands and every vertex already has two distinct
     neighbours, since a repeated edge leaves the verdict as it was and a
     vertex of degree below two always makes a cut (module docstring).
+    Those 2g vertices need at least 2g edges, so fewer than 2g + 1
+    letters from ``start`` hold no simple piece.
     """
+    if len(letters) - start <= 2 * rank:
+        return None
     verts = tuple(range(1, rank + 1)) + tuple(range(-1, -rank - 1, -1))
     adj: dict[int, set[int]] = {v: set() for v in verts}
     # vertices with at least two distinct neighbours
@@ -231,7 +230,7 @@ def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
         adj_u.add(v)
         adj_v.add(u)
         full += (len(adj_u) == 2) + (len(adj_v) == 2)
-        if full == 2 * rank and not _cut_vertex_in(verts, adj, j - 1 - start):
+        if full == 2 * rank and not _cut_vertex_in(verts, adj):
             return j
     return None
 

@@ -25,7 +25,7 @@ written, instead of n - 1 products.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ._record import Record, _set
 from .errors import ParseError, RankError
@@ -76,9 +76,6 @@ class ReducedWord(Record):
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
 
     def __str__(self) -> str:
         return format_word(self)

@@ -28,6 +28,7 @@ WORD = "x1 x2 X1 X2 x1"
 LONG = " ".join(["x1 x2"] * 17)  # 34 letters: past the 32-letter caps
 TOO_LONG_FOR_ORACLE = "x1 x2 x3 x1 x2 x3 x1 x2 x3 x1 x2 x3 x1 x2 x3"
 RANK_CAP = "10001"
+AT_RANK_CAP = "10000"  # the largest rank accepted
 
 
 def _qi(rank, n, grid_max, *extra):
@@ -66,6 +67,7 @@ ARGVS = [
     ("simple-length", "x1", "--rank", "1"),
     ("simple-length", TOO_LONG_FOR_ORACLE, "--rank", "3", "--oracle"),
     ("simple-length", TOO_LONG_FOR_ORACLE, "--rank", "3", "--witness"),
+    ("simple-length", "x1", "--rank", AT_RANK_CAP),
     ("simple-length", "x1", "--rank", RANK_CAP),
     ("simple-length", "x1", "--rank", "2", "--oracle-cap", "5"),
     # cr-bounds: success, exit 2, exit 3, removed options
@@ -76,6 +78,7 @@ ARGVS = [
     ("cr-bounds", "x1", "--rank", "1"),
     ("cr-bounds", LONG, "--rank", "2"),
     ("cr-bounds", LONG, "--rank", "1"),
+    ("cr-bounds", "x1", "--rank", AT_RANK_CAP),
     ("cr-bounds", "x1", "--rank", RANK_CAP),
     ("cr-bounds", WORD, "--rank", "2", "--max-ell", "3"),
     # qi-cert: grids up to n 3 and grid-max 2, CSV files, exit 2, exit 3

@@ -6,7 +6,6 @@ import pytest
 from helpers import all_reduced_words, conjugate_product, random_reduced_word
 
 from spotdisk.cancelpairs import (
-    CancellingFamily,
     _least_leftover_costs,
     cr_bruteforce,
     cr_lower_bound,
@@ -61,13 +60,13 @@ def naive_families(w):
 
 
 def as_frozen(family):
-    return frozenset((p.first, p.second) for p in family.pairs)
+    return frozenset((p.first, p.second) for p in family)
 
 
 def test_word_without_both_signs_only_has_the_empty_family():
     w = parse("x1 x2 x1", 2)
     families = list(enumerate_nested_families(w))
-    assert families == [CancellingFamily(())]
+    assert families == [()]
 
 
 def test_families_match_naive_enumeration_on_fixed_words():
@@ -116,6 +115,12 @@ def test_enumeration_cap():
         list(enumerate_nested_families(w))
 
 
+def test_enumeration_accepts_words_at_the_cap():
+    # 20 letters, all positive: no cancelling pair, so only the empty family
+    w = ReducedWord(2, tuple([1, 2] * 10))
+    assert list(enumerate_nested_families(w)) == [()]
+
+
 def test_least_leftover_costs_hand_values():
     w = parse("x2 x1 x2 X1 X2", 2)
     # one pair: erasing x1/X1 leaves x2 | x2 | X2, all of simple length 0;
@@ -142,7 +147,7 @@ def enumerated_leftover_costs(w):
     table = subword_simple_lengths(w)
     costs = {}
     for family in enumerate_nested_families(w):
-        erased = {t for p in family.pairs for r in (p.first, p.second) for t in range(*r)}
+        erased = {t for p in family for r in (p.first, p.second) for t in range(*r)}
         cost, start = 0, None
         for t in range(len(w) + 1):
             if t < len(w) and t not in erased:
@@ -150,7 +155,7 @@ def enumerated_leftover_costs(w):
             elif start is not None:
                 cost += table[(start, t)]
                 start = None
-        k = len(family.pairs)
+        k = len(family)
         costs[k] = min(cost, costs.get(k, cost))
     return costs
 

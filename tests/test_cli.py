@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from helpers import random_reduced_word
 
-from spotdisk import cancelpairs
+from spotdisk import cancelpairs, whitehead
 from spotdisk.cli import MAX_RANK, main
 from spotdisk.words import format_word
 
@@ -184,6 +184,24 @@ def test_unexpected_exception_is_one_line_exit_1(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err == "error: internal: RuntimeError: broken bound\n"
+
+
+def test_oracle_disagreement_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(whitehead, "simple_length_bruteforce", lambda w: 7)
+    code, out, err = run(capsys, "simple-length", "x1 x2 X1 X2 x1", "--rank", "2", "--oracle")
+    assert code == 1
+    assert out == "simple length: 1\noracle: disagree (enumeration found 7)\n"
+    assert err == ""
+
+
+def test_violated_bound_sandwich_exits_1(monkeypatch, capsys):
+    # a search value above the simple length 1 of the word
+    witness = cancelpairs.ConjugateReducedWitness(2, ())
+    monkeypatch.setattr(cancelpairs, "cr_bruteforce", lambda w: witness)
+    code, out, err = run(capsys, "cr-bounds", "x1 x2 X1 X2 x1", "--rank", "2")
+    assert code == 1
+    assert out == "0 2 1\n"
+    assert err == "error: bound sandwich violated\n"
 
 
 def test_qi_cert_requires_rank_four(capsys):

@@ -6,9 +6,10 @@ import pytest
 from helpers import random_reduced_word
 
 import spotdisk
-from spotdisk import torustree
+from spotdisk import cancelpairs, torustree, whitehead
 from spotdisk.cancelpairs import cr_lower_bound, enumerate_nested_families
 from spotdisk.errors import CapExceeded
+from spotdisk.pushcalc import ArcLabel
 from spotdisk.qicert import (
     CertificateRow,
     certify_grid,
@@ -388,6 +389,14 @@ def test_retired_keywords_are_not_accepted():
         list(enumerate_nested_families(ReducedWord(2, (1, 2)), max_pairs=1))
     with pytest.raises(TypeError):
         cr_lower_bound(ReducedWord(2, (1, 2)), length_cap=80)
-    # each name has one home, its module, and test-only wrappers are gone
+    # records take their fields positionally, and words are not iterables
+    with pytest.raises(TypeError):
+        ArcLabel(word=ReducedWord(2, (1,)))
+    with pytest.raises(TypeError):
+        iter(ReducedWord(2, (1,)))
+    # each name has one home, its module, and test-only wrappers are gone;
+    # a family is a plain tuple of pairs, and the edge-count guard is gone
     assert not hasattr(torustree, "to_dot")
     assert not hasattr(spotdisk, "simple_length")
+    assert not hasattr(cancelpairs, "CancellingFamily")
+    assert not hasattr(whitehead, "MIN_EDGES_FOR_CUT_FREE")

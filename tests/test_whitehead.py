@@ -147,10 +147,10 @@ def _gated_cut_vertex_search(monkeypatch):
     search = whitehead._cut_vertex_in
     calls = []
 
-    def gated(verts, adj, edge_count):
+    def gated(verts, adj):
         assert all(len(adj[v]) >= 2 for v in verts)
-        calls.append(edge_count)
-        return search(verts, adj, edge_count)
+        calls.append(sum(map(len, adj.values())) // 2)
+        return search(verts, adj)
 
     monkeypatch.setattr(whitehead, "_cut_vertex_in", gated)
     return calls
@@ -177,6 +177,42 @@ def test_degree_gate_cuts_the_searches_on_the_benchmark_grids(monkeypatch):
         assert qicert.certify_grid(*args)
     # the ungated scan searched 3,434 times on these two grids
     assert len(calls) <= 1617
+
+
+def test_length_gate_allocates_nothing_short_of_2g_plus_1_letters(monkeypatch, capsys):
+    from spotdisk.cli import main
+
+    # On the simple-length path only the scan's adjacency makes sets.
+    made = []
+
+    def counting_set(*args):
+        made.append(args)
+        return set(*args)
+
+    monkeypatch.setattr(whitehead, "set", counting_set, raising=False)
+    # 34 greedy scans at rank 10,000, none with 20,001 letters left
+    assert main(["cr-bounds", " ".join(["x1 x2"] * 16), "--rank", "10000"]) == 0
+    assert capsys.readouterr().out == "0 0 0\n"
+    assert made == []
+    for rank in (2, 3, 5):
+        letters = (1, 2) * (rank + 3)
+        for start in (0, 3):
+            # exactly 2g letters left
+            assert whitehead._simple_stop(rank, letters[: start + 2 * rank], start) is None
+            assert made == []
+    assert whitehead._simple_stop(2, (1, 2, 1, 2, 1), 0) is None
+    assert len(made) == 4
+
+
+def test_simple_pieces_of_exactly_2g_plus_1_letters_keep_their_stop():
+    for rank in range(2, 7):
+        # x1 x1 x2 x2 ... xg xg x1: a 2g-cycle through every vertex
+        piece = tuple(a for a in range(1, rank + 1) for _ in (0, 1)) + (1,)
+        assert len(piece) == 2 * rank + 1
+        assert whitehead._simple_stop(rank, piece, 0) == len(piece)
+        letters = (-2, 1) + piece
+        assert whitehead._simple_stop(rank, letters, 2) == len(letters)
+        assert not has_cut_vertex(whitehead_graph(ReducedWord(rank, piece)))
 
 
 def test_from_pairs_canonicalizes_and_validates():
