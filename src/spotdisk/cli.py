@@ -6,7 +6,9 @@ failure (a consistency check or any other exception, reported as one
 stderr when the reader of stdout closes it early.  Diagnostics go to
 stderr, results to stdout; identical inputs produce byte-identical output.
 ``qi-cert --jobs`` is accepted and validated for compatibility; rows are
-computed in one thread.
+computed in one thread.  Each subcommand imports only the modules it runs,
+to keep start-up short: ``fractions``, which ``cancelpairs`` and ``qicert``
+use, pulls in ``decimal``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import cancelpairs, pushcalc, qicert, torustree, whitehead
 from .errors import CapExceeded, RankError
 from .words import format_word, parse
 
@@ -52,6 +53,7 @@ def _open_output(path: str | None):
 
 
 def _cmd_wg(args: argparse.Namespace) -> int:
+    from . import whitehead
     _check_rank(args.rank)
     _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
@@ -74,6 +76,7 @@ def _cmd_wg(args: argparse.Namespace) -> int:
 
 
 def _cmd_simple_length(args: argparse.Namespace) -> int:
+    from . import whitehead
     _check_rank(args.rank)
     _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
@@ -93,6 +96,7 @@ def _cmd_simple_length(args: argparse.Namespace) -> int:
 
 
 def _cmd_cr_bounds(args: argparse.Namespace) -> int:
+    from . import cancelpairs, whitehead
     _check_rank(args.rank)
     _check_rank_cap(args.rank)
     w = parse(args.word, args.rank)
@@ -107,6 +111,7 @@ def _cmd_cr_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_qi_cert(args: argparse.Namespace) -> int:
+    from . import qicert
     if args.rank < qicert.MIN_RANK:
         raise RankError(
             f"certificates need rank at least {qicert.MIN_RANK}, got {args.rank}"
@@ -129,6 +134,7 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
 
 
 def _cmd_push(args: argparse.Namespace) -> int:
+    from . import pushcalc
     _check_rank(args.rank)
     arc = pushcalc.ArcLabel(parse(args.arc, args.rank))
     loop = parse(args.loop, args.rank)
@@ -138,6 +144,7 @@ def _cmd_push(args: argparse.Namespace) -> int:
 
 
 def _cmd_torus_ball(args: argparse.Namespace) -> int:
+    from . import torustree
     torustree.ball_size(args.radius, args.valency, args.leaves)
     if args.dot is not None:
         torustree.dot_size(args.radius, args.valency, args.leaves)

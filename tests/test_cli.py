@@ -453,14 +453,50 @@ def test_closed_stdout_ends_quietly_with_141():
     assert proc.stderr == b""
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+CLI_BASE_MODULES = {
+    "spotdisk", "spotdisk._record", "spotdisk.cli", "spotdisk.errors", "spotdisk.words"
+}
+
+
+@pytest.mark.parametrize(
+    "argv, own_modules",
+    [
+        pytest.param(argv, own, id=argv[0])
+        for argv, own in [
+            (["wg", "x1 x2", "--rank", "2"], {"whitehead"}),
+            (["simple-length", "x1 x2", "--rank", "2"], {"whitehead"}),
+            (["cr-bounds", "x1 x2", "--rank", "2"], {"cancelpairs", "whitehead"}),
+            (
+                ["qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1"],
+                {"qicert", "pushcalc", "whitehead"},
+            ),
+            (["push", "--rank", "2", "--arc", "", "--loop", "x1"], {"pushcalc"}),
+            (["torus-ball", "--radius", "1", "--valency", "3", "--leaves", "1"], {"torustree"}),
+            (["--help"], set()),
+        ]
+    ],
+)
+def test_subcommand_imports_only_its_modules(argv, own_modules):
+    # A fresh interpreter runs main(argv) and reports every module it loaded
+    # on stderr; fractions (and with it decimal) is for cr-bounds and qi-cert.
     probe = (
-        "import sys; before = set(sys.modules); import spotdisk.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from spotdisk import cli\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    proc = python_with_src(["-c", probe], capture_output=True, text=True)
+    proc = python_with_src(["-c", probe, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    loaded = set(json.loads(proc.stderr))
+    spotdisk = {name for name in loaded if name.split(".")[0] == "spotdisk"}
+    assert spotdisk == CLI_BASE_MODULES | {f"spotdisk.{name}" for name in own_modules}
+    assert not loaded & {"dataclasses", "inspect"}
+    if not own_modules & {"cancelpairs", "qicert"}:
+        assert not loaded & {"fractions", "decimal"}
 
 
 @pytest.mark.parametrize(
