@@ -127,16 +127,14 @@ def q_class(alpha: ArcLabel, beta: ArcLabel) -> ReducedWord:
     return concat(inverse(alpha.word), beta.word)
 
 
-def disk_normalize(w: ReducedWord, c_index: int | None = None) -> DiskLabel:
+def disk_normalize(w: ReducedWord) -> DiskLabel:
     """Canonical disk label for the coset of ``w``: strip the maximal
-    leading power of the coset letter (default: the top basis letter).
-    An index outside ``1..rank`` strips nothing, and :class:`DiskLabel`
-    rejects it.
+    leading power of the coset letter, the top basis letter.
 
-    >>> str(disk_normalize(ReducedWord(2, (2, 2, 1)), 2).coset_rep)
+    >>> str(disk_normalize(ReducedWord(2, (2, 2, 1))).coset_rep)
     'x1'
     """
-    c = w.rank if c_index is None else c_index
+    c = w.rank
     i = 0
     while i < len(w.letters) and abs(w.letters[i]) == c:
         i += 1

@@ -28,12 +28,13 @@ pair: about m (m+1)^(2n-2) scans for grid_max m, against about
 Each grid point gets its push word and that word's inverse once, so a
 relative word is one slice join of two stored words.
 
-The scans share a trie of the minimal simple pieces found so far (the
-``whitehead`` module docstring gives why its values are exact).  Few
-distinct pieces occur in a grid, so the greedy stop runs once per
-distinct piece, plus once per word whose last walk leaves the trie
-without a piece to find; every other stop is a walk down the trie.  The trie
-belongs to one :func:`certify_grid` call, and so to one rank.
+The scans share a table of the minimal simple pieces found so far,
+keyed by their first 2g + 1 letters (the ``whitehead`` module docstring
+gives why its values are exact).  Few distinct pieces occur in a grid,
+so the greedy stop runs once per distinct piece, plus at most once per
+word, when its letters after the last cut start no known piece; every
+other stop is a lookup.  The table belongs to one :func:`certify_grid`
+call.
 
 The upper bound of a row is the total of the :func:`upper_bound` trace,
 sum_i (6|k_i - l_i| + 8) = 6 displacement + 8n, with 6 the per-power
@@ -51,10 +52,10 @@ from typing import Iterable, Sequence
 from ._record import Record
 from .errors import CapExceeded
 from .pushcalc import BoundTrace, TraceStep
-# certify_grid scans through _trie_simple_length.  simple_length is not
+# certify_grid scans through _piece_simple_length.  simple_length is not
 # called here, but perfbench/traced_cli.py wraps qicert.simple_length (and
 # counts qicert.concat) by name.
-from .whitehead import _trie_simple_length, simple_length  # noqa: F401
+from .whitehead import _piece_simple_length, simple_length  # noqa: F401
 from .words import ReducedWord, concat, inverse, power
 
 __all__ = [
@@ -216,9 +217,9 @@ def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
 
     Push words and their inverses are built once per point, and
     relative words and their lower bounds once per key (k', l') of the
-    module docstring, the lower bounds through this call's trie; the
-    displacement, upper bound and ratio are per row.  :func:`check_grid`
-    runs first.
+    module docstring, the lower bounds through this call's piece table;
+    the displacement, upper bound and ratio are per row.
+    :func:`check_grid` runs first.
     """
     check_grid(g, n, grid_max)
     points = sorted(product(range(grid_max + 1), repeat=n))
@@ -238,7 +239,7 @@ def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
             hit = lower_bounds.get(key)
             if hit is None:
                 rel = concat(inverses[key[0]], lattice[key[1]])
-                lower = Fraction(_trie_simple_length(pieces, g, rel.letters), 2)
+                lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)
                 hit = lower_bounds[key] = (rel, lower)
             rel, lower = hit
             displacement = sum(abs(a - b) for a, b in zip(k, l))

@@ -22,25 +22,20 @@ and a vertex with exactly one neighbour makes that neighbour a cut
 vertex, since removing it strands the vertex away from the other
 2g - 2 >= 2.  So the gate skips only searches that would fail.
 
-Callers that scan many words of one rank, such as a qi-cert grid, can
-look the greedy stops up in a trie of minimal simple pieces instead
-(``_trie_simple_length``); this is the goto function of Aho and Corasick
-("Efficient string matching", CACM 1975) without failure links, because
-the scan restarts empty at each cut.  The stop from a cut p depends only
-on the letters from p on: it is p plus the length of the one minimal
-simple piece (a simple piece with no simple proper prefix) that starts
-there.  The trie holds the minimal pieces found so far, so every node is
-a prefix of one of them.  A minimal piece is not a proper prefix of
-another, since the longer one would then have a simple proper prefix;
-so terminals are leaves, and a node without children is exactly a
-terminal.  Walking the trie from p along the word:
+Callers that scan many words, such as a qi-cert grid, can look the
+greedy stops up in a table of minimal simple pieces (simple pieces with
+no simple proper prefix), keyed by their first 2g + 1 letters
+(``_piece_simple_length``).  It is exact for three reasons:
 
-- a terminal at depth d is a minimal piece, so the stop is p + d;
-- a non-terminal node is a proper prefix of a minimal piece, so it is
-  not simple, and a word that ends on the trie path has no stop from p;
-- off the trie, ``_simple_stop`` runs once from p and its piece goes
-  into the trie.  It branches off the path below the last node walked,
-  since every node on that path is not simple.
+- the stop from a cut p depends only on the letters from p on: it is p
+  plus the length of the one minimal piece that starts there;
+- a minimal piece is not a proper prefix of another, since the longer
+  one would then have a simple proper prefix, so at most one known
+  piece matches at p, and when the word ends inside a known piece no
+  piece starts at p;
+- every simple piece has at least 2g + 1 letters (``_simple_stop``), so
+  the bucket of the next 2g + 1 letters holds every known piece that can
+  match, and fewer letters hold none.
 
 The values equal those of :func:`simple_length`, which stays the
 definition and the only source of witnesses.
@@ -235,39 +230,33 @@ def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
     return None
 
 
-def _trie_simple_length(trie: dict, rank: int, letters: tuple[int, ...]) -> int:
+def _piece_simple_length(pieces: dict, rank: int, letters: tuple[int, ...]) -> int:
     """Simple length of a reduced word of rank ``rank``, with the greedy
-    stops looked up in ``trie``, a trie of the minimal simple pieces at
-    that rank, which this call extends.
+    stops looked up in ``pieces``, which this call extends.
 
-    A node is a dict from letter to child; a terminal is an empty dict
-    (module docstring).  The caller owns the trie: it must start empty
-    and serve one rank only.
+    ``pieces`` maps the first 2g + 1 letters of each minimal simple piece
+    found so far to the tuple of those pieces (module docstring).  The
+    caller owns the table and starts it empty.
     """
+    width = 2 * rank + 1
     n = len(letters)
     count = start = 0
-    while start < n:
-        node, j = trie, start
-        while j < n:
-            node = node.get(letters[j])
-            if node is None:
+    while n - start >= width:
+        head = letters[start : start + width]
+        for piece in pieces.get(head, ()):
+            tail = letters[start : start + len(piece)]
+            if tail == piece:
+                stop = start + len(piece)
                 break
-            j += 1
-            if not node:
-                break
+            if tail == piece[: len(tail)]:
+                return count
         else:
-            return count
-        if node is None:
             stop = _simple_stop(rank, letters, start)
             if stop is None:
                 return count
-            node = trie
-            for a in letters[start : stop - 1]:
-                node = node.setdefault(a, {})
-            node[letters[stop - 1]] = {}
-            j = stop
+            pieces[head] = pieces.get(head, ()) + (letters[start:stop],)
         count += 1
-        start = j
+        start = stop
     return count
 
 

@@ -95,6 +95,9 @@ ARGVS = [
     _qi(4, 1, 1, "--length-cap", "1", "--csv", "out.csv"),
     _qi(4, 1, 22),
     _qi(148, 1, 1),
+    # high rank, where the minimal simple pieces run to thousands of letters
+    _qi(1000, 2, 2),
+    _qi(AT_RANK_CAP, 3, 1),
     _qi(3, 1, 1),
     _qi(4, 0, 2),
     _qi(4, -3, 2, "--csv", "out.csv"),

@@ -14,7 +14,7 @@ Each mutant's verdict and time are printed.  The exit status is 1 when an
 old text is missing or repeated, when the unmutated suite fails, or when
 any mutant survives.
 
-Two mutants are left off because they are equivalent: no input tells
+Three mutants are left off because they are equivalent: no input tells
 them apart from the program, so no test can kill them.
 
 - ``cr_bruteforce``'s ``max_ell = min(max_ell, n)`` with ``n + 1``: an
@@ -22,6 +22,9 @@ them apart from the program, so no test can kill them.
 - the peel depth bound ``(length - 1) // 2`` with ``length // 2``: a
   segment peeled to nothing would be u u^-1, which a reduced word never
   contains.
+- the piece table's head ``letters[start : start + width]`` cut to 2g
+  letters: the buckets are only coarser, and each still holds every
+  known piece that can match.
 
 The list follows DeMillo, Lipton and Sayward, "Hints on test data
 selection" (Computer, 1978): each mutant is one small change that a
@@ -128,6 +131,24 @@ MUTANTS = [
         "if n > DEFAULT_FAMILY_CAP:",
         "if n >= DEFAULT_FAMILY_CAP:",
         "the family enumeration accepts words of exactly DEFAULT_FAMILY_CAP letters",
+    ),
+    (
+        WHITEHEAD,
+        "while n - start >= width:",
+        "while n - start > width:",
+        "a simple piece of exactly 2g + 1 letters ends the word and is counted",
+    ),
+    (
+        WHITEHEAD,
+        "if tail == piece[: len(tail)]:\n                return count",
+        "if tail == piece[: len(tail)]:\n                pass",
+        "a word that ends inside a known piece needs no greedy stop",
+    ),
+    (
+        QICERT,
+        "    pieces: dict = {}\n",
+        "    pieces = certify_grid.__dict__.setdefault(\"pieces\", {})\n",
+        "each certify_grid call starts from an empty piece table",
     ),
     (
         WHITEHEAD,

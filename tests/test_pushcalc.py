@@ -63,8 +63,8 @@ def test_q_class_antisymmetry_and_recovery():
 def test_disk_normalize_strips_leading_coset_powers():
     u = parse("x1 x3", 3)
     prefixed = concat(power(parse("x3", 3), 2), u)
-    assert disk_normalize(prefixed, 3) == disk_normalize(u, 3)
-    assert disk_normalize(ReducedWord.identity(3), 3).coset_rep.is_identity
+    assert disk_normalize(prefixed) == disk_normalize(u)
+    assert disk_normalize(ReducedWord.identity(3)).coset_rep.is_identity
 
 
 def test_disk_normalize_defaults_to_top_letter_and_is_idempotent():
@@ -73,7 +73,7 @@ def test_disk_normalize_defaults_to_top_letter_and_is_idempotent():
         w = random_reduced_word(rng, 3, rng.randint(0, 10))
         label = disk_normalize(w)
         assert label.c_index == 3
-        assert disk_normalize(label.coset_rep, label.c_index) == label
+        assert disk_normalize(label.coset_rep) == label
 
 
 def test_disk_normalize_is_coset_invariant():
@@ -83,7 +83,7 @@ def test_disk_normalize_is_coset_invariant():
         w = random_reduced_word(rng, 2, rng.randint(0, 10))
         k = rng.randint(-4, 4)
         shifted = concat(power(c, k), w)
-        assert disk_normalize(shifted, 2) == disk_normalize(w, 2)
+        assert disk_normalize(shifted) == disk_normalize(w)
 
 
 def test_disk_label_rejects_leading_coset_letter():

@@ -9,7 +9,7 @@ import spotdisk
 from spotdisk import cancelpairs, torustree, whitehead
 from spotdisk.cancelpairs import cr_lower_bound, enumerate_nested_families
 from spotdisk.errors import CapExceeded
-from spotdisk.pushcalc import ArcLabel
+from spotdisk.pushcalc import ArcLabel, disk_normalize
 from spotdisk.qicert import (
     CertificateRow,
     certify_grid,
@@ -241,13 +241,13 @@ def test_grid_scans_each_relative_word_once(monkeypatch):
 
     scanned = []
     counts = {"stops": 0, "searches": 0}
-    trie_simple_length = qicert._trie_simple_length
+    piece_simple_length = qicert._piece_simple_length
     simple_stop = whitehead._simple_stop
     cut_vertex_in = whitehead._cut_vertex_in
 
-    def counting(trie, rank, letters):
+    def counting(pieces, rank, letters):
         scanned.append((rank, letters))
-        return trie_simple_length(trie, rank, letters)
+        return piece_simple_length(pieces, rank, letters)
 
     def counting_stop(*args):
         counts["stops"] += 1
@@ -257,13 +257,15 @@ def test_grid_scans_each_relative_word_once(monkeypatch):
         counts["searches"] += 1
         return cut_vertex_in(*args)
 
-    monkeypatch.setattr(qicert, "_trie_simple_length", counting)
+    monkeypatch.setattr(qicert, "_piece_simple_length", counting)
     monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
     monkeypatch.setattr(whitehead, "_cut_vertex_in", counting_search)
     # 1 + sum_i m (m+1)^(2(n-i)) keys (k', l') for grid_max m; one scan
-    # per pair would make 325 and 378.  The trie runs the greedy stop
-    # once per distinct minimal piece plus once per miss.
-    for args, calls, stops in (((4, 2, 4), 105, 13), ((4, 3, 2), 183, 27)):
+    # per pair would make 325 and 378.  The piece table runs the greedy
+    # stop once per distinct minimal piece plus once per word whose
+    # letters after the last cut start no known piece.  Tails of fewer
+    # than 2g + 1 letters never reach the greedy stop.
+    for args, calls, stops in (((4, 2, 4), 105, 10), ((4, 3, 2), 183, 23)):
         scanned.clear()
         counts["stops"] = 0
         certify_grid(*args)
@@ -319,17 +321,17 @@ def test_grid_work_caps_count_rows_and_letters(monkeypatch):
         certify_grid(4, -1, 1)
 
 
-def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
+def test_piece_table_values_equal_simple_length_on_every_key(monkeypatch):
     import spotdisk.qicert as qicert
     import spotdisk.whitehead as whitehead
 
     seen = []
     stops = []
-    trie_simple_length = qicert._trie_simple_length
+    piece_simple_length = qicert._piece_simple_length
     simple_stop = whitehead._simple_stop
 
-    def recording(trie, rank, letters):
-        value = trie_simple_length(trie, rank, letters)
+    def recording(pieces, rank, letters):
+        value = piece_simple_length(pieces, rank, letters)
         seen.append((rank, letters, value))
         return value
 
@@ -337,7 +339,7 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
         stops.append(args)
         return simple_stop(*args)
 
-    monkeypatch.setattr(qicert, "_trie_simple_length", recording)
+    monkeypatch.setattr(qicert, "_piece_simple_length", recording)
     monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
     keys = 0
     first_stops = {}
@@ -351,7 +353,7 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
                 assert value == simple_length(ReducedWord(rank, letters)).value
             keys += len(seen)
     assert keys == 3 * 3 * (1 + 8 * 9**2 + 8 + 1 + 3 * 4**4 + 3 * 4**2 + 3)
-    # Each call starts from an empty trie: after every grid above, a
+    # Each call starts from an empty table: after every grid above, a
     # rank-4 and a rank-6 grid again run the greedy stop as often as the
     # first time.
     for g in (4, 6):
@@ -360,20 +362,55 @@ def test_trie_values_equal_simple_length_on_every_key(monkeypatch):
         assert len(stops) == first_stops[g, 2]
 
 
-def test_trie_walk_matches_simple_length_on_every_prefix():
-    from spotdisk.whitehead import _trie_simple_length
+def test_piece_table_matches_simple_length_on_every_prefix():
+    from spotdisk.whitehead import _piece_simple_length
 
-    # One trie per rank, fed every prefix of each word shortest first, so
-    # walks end on a trie path as well as at a terminal or off the trie.
+    # One table per rank, fed every prefix of each word shortest first, so
+    # scans both look up known pieces and add new ones.
+    # x1 x1 x2 x2 .. xg xg x1 is a simple piece of exactly 2g + 1 letters,
+    # scanned from 0 and after a 2-letter prefix.
     rng = random.Random(512)
     for rank in range(2, 7):
-        trie = {}
-        for _ in range(6):
-            w = random_reduced_word(rng, rank, rng.randint(20, 80))
+        pieces = {}
+        piece = tuple(a for a in range(1, rank + 1) for _ in (0, 1)) + (1,)
+        words = [random_reduced_word(rng, rank, rng.randint(20, 80)) for _ in range(6)]
+        words += [ReducedWord(rank, piece), ReducedWord(rank, (-2, 1) + piece)]
+        for w in words:
             for j in range(len(w) + 1):
                 prefix = w.letters[:j]
                 want = simple_length(ReducedWord(rank, prefix)).value
-                assert _trie_simple_length(trie, rank, prefix) == want
+                assert _piece_simple_length(pieces, rank, prefix) == want
+
+
+def test_piece_table_ends_inside_a_known_piece_without_a_scan(monkeypatch):
+    import spotdisk.whitehead as whitehead
+
+    # After the whole word, each prefix cut short of the last cut ends
+    # inside a known piece, which no greedy stop can complete.
+    stops = []
+    simple_stop = whitehead._simple_stop
+
+    def counting_stop(*args):
+        stops.append(args)
+        return simple_stop(*args)
+
+    rng = random.Random(513)
+    for rank in range(2, 7):
+        w = random_reduced_word(rng, rank, 120)
+        witness = simple_length(w)
+        assert witness.value >= 3
+        last_cut = len(w) - len(witness.pieces[-1])
+        want = [simple_length(ReducedWord(rank, w.letters[:j])).value for j in range(last_cut)]
+        pieces = {}
+        whitehead._piece_simple_length(pieces, rank, w.letters)
+        with monkeypatch.context() as patch:
+            patch.setattr(whitehead, "_simple_stop", counting_stop)
+            got = [
+                whitehead._piece_simple_length(pieces, rank, w.letters[:j])
+                for j in range(last_cut)
+            ]
+        assert got == want
+        assert stops == []
 
 
 def test_retired_keywords_are_not_accepted():
@@ -389,6 +426,8 @@ def test_retired_keywords_are_not_accepted():
         list(enumerate_nested_families(ReducedWord(2, (1, 2)), max_pairs=1))
     with pytest.raises(TypeError):
         cr_lower_bound(ReducedWord(2, (1, 2)), length_cap=80)
+    with pytest.raises(TypeError):  # the coset letter is the top letter
+        disk_normalize(ReducedWord(2, (2, 2, 1)), 2)
     # records take their fields positionally, and words are not iterables
     with pytest.raises(TypeError):
         ArcLabel(word=ReducedWord(2, (1,)))
