@@ -3,12 +3,13 @@
 Exit codes: 0 success, 2 input error, 3 resource-cap error, 1 internal
 failure (a consistency check or any other exception, reported as one
 ``error: internal:`` line instead of a traceback), 141 with nothing on
-stderr when the reader of stdout closes it early.  Diagnostics go to
-stderr, results to stdout; identical inputs produce byte-identical output.
-``qi-cert --jobs`` is accepted and validated for compatibility; rows are
-computed in one thread.  Each subcommand imports only the modules it runs,
-to keep start-up short: ``fractions``, which ``cancelpairs`` and ``qicert``
-use, pulls in ``decimal``.
+stderr when the reader of stdout closes it early.  An output file that
+cannot be opened, written or closed is an input error (exit 2).
+Diagnostics go to stderr, results to stdout; identical inputs produce
+byte-identical output.  ``qi-cert --jobs`` is accepted and validated for
+compatibility; rows are computed in one thread.  Each subcommand imports
+only the modules it runs, to keep start-up short: ``fractions``, which
+``cancelpairs`` and ``qicert`` use, pulls in ``decimal``.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def _open_output(path: str | None):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _write_output(out, lines) -> None:
+    """Write lines to a file from :func:`_open_output` and close it; an OSError exits 2."""
+    try:
+        out.writelines(lines)
+        out.close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {out.name}: {exc.strerror}") from None
+
+
 def _cmd_wg(args: argparse.Namespace) -> int:
     from . import whitehead
     _check_rank(args.rank)
@@ -71,7 +81,7 @@ def _cmd_wg(args: argparse.Namespace) -> int:
         verdict = "yes" if whitehead.has_cut_vertex(graph) else "no"
         print(f"cut vertex: {verdict}")
         if dot:
-            dot.write(whitehead.to_dot(graph))
+            _write_output(dot, (whitehead.to_dot(graph),))
     return 0
 
 
@@ -129,7 +139,7 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
         print(f"min ratio: {summary.min_ratio if summary.min_ratio is not None else '-'}")
         print(f"max ratio: {summary.max_ratio if summary.max_ratio is not None else '-'}")
         if csv:
-            csv.write(text)
+            _write_output(csv, (text,))
     return 0
 
 
@@ -154,7 +164,7 @@ def _cmd_torus_ball(args: argparse.Namespace) -> int:
         print(f"edges: {len(ball.edges)}")
         print(f"tree: {'yes' if torustree.is_tree(ball) else 'no'}")
         if dot:
-            dot.writelines(torustree.dot_lines(ball))
+            _write_output(dot, torustree.dot_lines(ball))
     return 0
 
 

@@ -25,6 +25,8 @@ reduced words, so :func:`certify_grid` builds each relative word, and
 scans its simple length, once per key (k', l') instead of once per
 pair: about m (m+1)^(2n-2) scans for grid_max m, against about
 (m+1)^(2n)/2 pairs.  :func:`relative_word` stays the per-pair definition.
+The rest of a row is per key too: k - l and k' - l' agree from coordinate
+i on and vanish before it, so |k - l|_1 = |k' - l'|_1.
 Each grid point gets its push word and that word's inverse once, so a
 relative word is one slice join of two stored words.
 
@@ -38,9 +40,9 @@ call.
 
 The upper bound of a row is the total of the :func:`upper_bound` trace,
 sum_i (6|k_i - l_i| + 8) = 6 displacement + 8n, with 6 the per-power
-move budget ``PUSH_STEP_BUDGET``, and
-:func:`certify_grid` writes it in that closed form without building the
-3n trace steps; :func:`upper_bound` stays the trace that audits it.
+move budget ``PUSH_STEP_BUDGET``.  :func:`certify_grid` writes it in
+that closed form, once per key, without building the 3n trace steps;
+:func:`upper_bound` stays the trace that audits it.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def upper_bound(k: Sequence[int], ell: Sequence[int]) -> BoundTrace:
 
 
 class CertificateRow(Record):
-    """One grid pair: lower bound, upper bound, displacement and ratio."""
+    """One grid pair's bounds, displacement and ratio: a result record, not validated."""
 
     __slots__ = ("k", "l", "displacement", "relative_word", "lower", "upper", "ratio")
     k: tuple[int, ...]
@@ -166,13 +168,6 @@ class CertificateRow(Record):
     lower: Fraction
     upper: int
     ratio: Fraction | None
-
-    def _check(self) -> None:
-        if self.displacement != sum(abs(a - b) for a, b in zip(self.k, self.l)):
-            raise ValueError("displacement does not match the coordinate gap")
-        want = self.lower / self.displacement if self.displacement else None
-        if self.ratio != want:
-            raise ValueError("ratio does not match lower/displacement")
 
 
 class GridSummary(Record):
@@ -215,10 +210,9 @@ def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
     """Certificate rows for every unordered pair of points in
     {0..grid_max}^n, in lexicographic (k, l) order.
 
-    Push words and their inverses are built once per point, and
-    relative words and their lower bounds once per key (k', l') of the
-    module docstring, the lower bounds through this call's piece table;
-    the displacement, upper bound and ratio are per row.
+    Push words and their inverses are built once per point, and every
+    other row value once per key (k', l') of the module docstring, the
+    lower bounds through this call's piece table.
     :func:`check_grid` runs first.
     """
     check_grid(g, n, grid_max)
@@ -227,7 +221,7 @@ def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
     lattice = {p: lambda_word(g, n, p) for p in points}
     inverses = {p: inverse(w) for p, w in lattice.items()}
     pieces: dict = {}
-    lower_bounds: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[ReducedWord, Fraction]] = {}
+    certificates: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
     rows = []
     for idx, k in enumerate(points):
         for l in points[idx:]:
@@ -236,24 +230,19 @@ def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
                 zero[: i + 1] + k[i + 1 :],
                 zero[:i] + (l[i] - k[i],) + l[i + 1 :],
             )
-            hit = lower_bounds.get(key)
-            if hit is None:
+            certificate = certificates.get(key)
+            if certificate is None:
+                displacement = sum(abs(a - b) for a, b in zip(*key))
                 rel = concat(inverses[key[0]], lattice[key[1]])
                 lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)
-                hit = lower_bounds[key] = (rel, lower)
-            rel, lower = hit
-            displacement = sum(abs(a - b) for a, b in zip(k, l))
-            rows.append(
-                CertificateRow(
-                    k,
-                    l,
+                certificate = certificates[key] = (
                     displacement,
                     rel,
                     lower,
                     PUSH_STEP_BUDGET * displacement + 8 * n,
                     lower / displacement if displacement else None,
                 )
-            )
+            rows.append(CertificateRow(k, l, *certificate))
     return rows
 
 

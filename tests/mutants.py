@@ -156,6 +156,40 @@ MUTANTS = [
         "if len(letters) - start < 2 * rank:",
         "a simple piece needs 2g + 1 letters, so 2g letters get no scan",
     ),
+    (
+        QICERT,
+        "displacement = sum(abs(a - b) for a, b in zip(*key))",
+        "displacement = sum(key[1])",
+        "a key's displacement is |k' - l'|_1, which k' enters too",
+    ),
+    (
+        QICERT,
+        "certificate = certificates.get(key)\n"
+        "            if certificate is None:\n"
+        "                displacement = sum(abs(a - b) for a, b in zip(*key))\n"
+        "                rel = concat(inverses[key[0]], lattice[key[1]])\n"
+        "                lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)\n"
+        "                certificate = certificates[key] = (",
+        "certificate = certificates.get(key[1])\n"
+        "            if certificate is None:\n"
+        "                displacement = sum(abs(a - b) for a, b in zip(*key))\n"
+        "                rel = concat(inverses[key[0]], lattice[key[1]])\n"
+        "                lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)\n"
+        "                certificate = certificates[key[1]] = (",
+        "rows share a certificate only when both k' and l' agree",
+    ),
+    (
+        WHITEHEAD,
+        "            if (u, v) in seen:\n                raise ValueError",
+        "            if False:\n                raise ValueError",
+        "WhiteheadGraph refuses a repeated edge entry",
+    ),
+    (
+        CLI,
+        "out.close()\n    except OSError as exc:",
+        "out.close()\n    except ZeroDivisionError as exc:",
+        "a failed write to an output file exits 2, not 1 as internal",
+    ),
 ]
 
 

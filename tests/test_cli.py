@@ -387,6 +387,32 @@ def test_output_path_in_a_missing_directory_exits_2_before_any_work(tmp_path, ca
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        pytest.param(("wg", "x1", "--rank", "2", "--dot"), "word: x1", id="wg"),
+        pytest.param(
+            ("qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1", "--csv"),
+            "n,g,k,l,",
+            id="qi-cert",
+        ),
+        pytest.param(
+            ("torus-ball", "--radius", "0", "--valency", "1", "--leaves", "0", "--dot"),
+            "vertices: 1",
+            id="torus-ball",
+        ),
+    ],
+)
+def test_failed_write_to_an_output_file_exits_2(capsys, argv, first_line):
+    # /dev/full opens, but every write to it fails with ENOSPC; the result
+    # has already gone to stdout when the file is written
+    code, out, err = run(capsys, *argv, "/dev/full")
+    assert code == 2
+    assert out.startswith(first_line)
+    assert err == "error: cannot write /dev/full: No space left on device\n"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

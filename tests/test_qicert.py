@@ -168,14 +168,27 @@ def test_summarize_without_offdiagonal_rows():
     assert summary.min_ratio is None
 
 
-def test_row_validation_catches_inconsistent_fields():
-    from spotdisk.qicert import CertificateRow
-
-    rel = ReducedWord.identity(4)
-    with pytest.raises(ValueError):
-        CertificateRow((0,), (1,), 2, rel, Fraction(0), 14, None)
-    with pytest.raises(ValueError):
-        CertificateRow((0,), (1,), 1, rel, Fraction(1), 14, None)
+def test_grid_rows_of_one_key_share_one_certificate():
+    # Every field but (k, l) is built once per key (k', l') of the qicert
+    # module docstring, so the rows of one key hold the same objects.
+    n = 3
+    rows = certify_grid(4, n, 2)
+    by_key = {}
+    for row in rows:
+        k, ell = row.k, row.l
+        i = next((i for i, (a, b) in enumerate(zip(k, ell)) if a != b), n)
+        key = ((0,) * n, (0,) * n) if i == n else (
+            (0,) * (i + 1) + k[i + 1 :],
+            (0,) * i + (ell[i] - k[i],) + ell[i + 1 :],
+        )
+        by_key.setdefault(key, []).append(row)
+    assert len(by_key) == 183
+    for first, *rest in by_key.values():
+        for row in rest:
+            assert row.ratio is first.ratio
+            assert row.relative_word is first.relative_word
+    ratios = {id(row.ratio) for row in rows if row.ratio is not None}
+    assert len(ratios) == sum(1 for key in by_key if key[0] != key[1]) == 182
 
 
 def test_lambda_word_injective_on_small_grid():

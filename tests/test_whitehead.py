@@ -4,7 +4,7 @@ import pytest
 from helpers import all_reduced_words, brute_has_cut_vertex, random_reduced_word
 
 from spotdisk import qicert, whitehead
-from spotdisk.errors import CapExceeded
+from spotdisk.errors import CapExceeded, RankError
 from spotdisk.whitehead import (
     WhiteheadGraph,
     has_cut_vertex,
@@ -218,10 +218,18 @@ def test_simple_pieces_of_exactly_2g_plus_1_letters_keep_their_stop():
 def test_from_pairs_canonicalizes_and_validates():
     graph = WhiteheadGraph.from_pairs(2, [(-2, 1), (1, -2)])
     assert graph.edges == (((1, -2), 2),)
-    with pytest.raises(ValueError):
-        WhiteheadGraph(2, (((1, -2), 0),))
-    with pytest.raises(ValueError):
-        WhiteheadGraph(2, (((-2, 1), 1),))
+    # RankError subclasses ValueError, so each case checks the exact type
+    for rank, edges, error in (
+        (2, (((1, -2), 0),), ValueError),  # multiplicity below 1
+        (2, (((-2, 1), 1),), ValueError),  # not canonically ordered
+        (1, (), RankError),
+        (2, (((0, 1), 1),), RankError),
+        (2, (((1, 3), 1),), RankError),
+        (2, (((1, -2), 1), ((1, -2), 1)), ValueError),  # duplicate entry
+    ):
+        with pytest.raises(ValueError) as caught:
+            WhiteheadGraph(rank, edges)
+        assert type(caught.value) is error
 
 
 def test_self_loops_are_representable_and_ignored_for_connectivity():
