@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 input error, 3 resource-cap error, 1 internal
 failure (a consistency check or any other exception, reported as one
 ``error: internal:`` line instead of a traceback), 141 with nothing on
-stderr when the reader of stdout closes it early.  An output file that
-cannot be opened, written or closed is an input error (exit 2).
+stderr when the reader of stdout closes it early.  A failed open, write
+or close of an output file, and a failed write to stdout, exit 2.
 Diagnostics go to stderr, results to stdout; identical inputs produce
 byte-identical output.  ``qi-cert --jobs`` is accepted and validated for
 compatibility; rows are computed in one thread.  Each subcommand imports
@@ -224,13 +224,16 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout: end quietly, and send what is still
-        # buffered to the null device so the flush at exit cannot fail again.
+    except OSError as exc:
+        # Output files fail as ValueError, so this is stdout.  Send what is
+        # still buffered to the null device so the flush at exit cannot fail.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):  # the reader left: end quietly
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

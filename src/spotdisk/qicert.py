@@ -30,13 +30,13 @@ i on and vanish before it, so |k - l|_1 = |k' - l'|_1.
 Each grid point gets its push word and that word's inverse once, so a
 relative word is one slice join of two stored words.
 
-The scans share a table of the minimal simple pieces found so far,
-keyed by their first 2g + 1 letters (the ``whitehead`` module docstring
-gives why its values are exact).  Few distinct pieces occur in a grid,
-so the greedy stop runs once per distinct piece, plus at most once per
-word, when its letters after the last cut start no known piece; every
-other stop is a lookup.  The table belongs to one :func:`certify_grid`
-call.
+The scans are the greedy scan of :func:`simple_length`, sharing one
+table of the minimal simple pieces found so far, keyed by their first
+2g + 1 letters (the ``whitehead`` module docstring gives why its values
+are exact).  Few distinct pieces occur in a grid, so the greedy stop
+runs once per distinct piece, plus at most once per word, when its
+letters after the last cut start no known piece; every other stop is a
+lookup.  The table belongs to one :func:`certify_grid` call.
 
 The upper bound of a row is the total of the :func:`upper_bound` trace,
 sum_i (6|k_i - l_i| + 8) = 6 displacement + 8n, with 6 the per-power
@@ -54,10 +54,9 @@ from typing import Iterable, Sequence
 from ._record import Record
 from .errors import CapExceeded
 from .pushcalc import BoundTrace, TraceStep
-# certify_grid scans through _piece_simple_length.  simple_length is not
-# called here, but perfbench/traced_cli.py wraps qicert.simple_length (and
-# counts qicert.concat) by name.
-from .whitehead import _piece_simple_length, simple_length  # noqa: F401
+# simple_length is not called here, but perfbench/traced_cli.py wraps
+# qicert.simple_length (and counts qicert.concat) by name.
+from .whitehead import _greedy_cuts, simple_length  # noqa: F401
 from .words import ReducedWord, concat, inverse, power
 
 __all__ = [
@@ -234,7 +233,7 @@ def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
             if certificate is None:
                 displacement = sum(abs(a - b) for a, b in zip(*key))
                 rel = concat(inverses[key[0]], lattice[key[1]])
-                lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)
+                lower = Fraction(len(_greedy_cuts(pieces, g, rel.letters)) - 1, 2)
                 certificate = certificates[key] = (
                     displacement,
                     rel,

@@ -22,10 +22,10 @@ and a vertex with exactly one neighbour makes that neighbour a cut
 vertex, since removing it strands the vertex away from the other
 2g - 2 >= 2.  So the gate skips only searches that would fail.
 
-Callers that scan many words, such as a qi-cert grid, can look the
-greedy stops up in a table of minimal simple pieces (simple pieces with
-no simple proper prefix), keyed by their first 2g + 1 letters
-(``_piece_simple_length``).  It is exact for three reasons:
+The greedy scan (``_greedy_cuts``) looks each stop up in a table of the
+minimal simple pieces (simple pieces with no simple proper prefix)
+found so far, keyed by their first 2g + 1 letters.  The table is exact
+for any word, for three reasons:
 
 - the stop from a cut p depends only on the letters from p on: it is p
   plus the length of the one minimal piece that starts there;
@@ -37,8 +37,8 @@ no simple proper prefix), keyed by their first 2g + 1 letters
   the bucket of the next 2g + 1 letters holds every known piece that can
   match, and fewer letters hold none.
 
-The values equal those of :func:`simple_length`, which stays the
-definition and the only source of witnesses.
+Each :func:`simple_length` call starts an empty table; a qi-cert grid
+shares one.  :func:`simple_length_bruteforce` is the independent oracle.
 """
 
 from __future__ import annotations
@@ -230,18 +230,19 @@ def _simple_stop(rank: int, letters: tuple[int, ...], start: int) -> int | None:
     return None
 
 
-def _piece_simple_length(pieces: dict, rank: int, letters: tuple[int, ...]) -> int:
-    """Simple length of a reduced word of rank ``rank``, with the greedy
-    stops looked up in ``pieces``, which this call extends.
+def _greedy_cuts(pieces: dict, rank: int, letters: tuple[int, ...]) -> list[int]:
+    """Greedy cut positions ``[0, stop_1, stop_2, ..]`` of a reduced word of
+    rank ``rank``; the letters after the last cut hold no simple piece.
 
-    ``pieces`` maps the first 2g + 1 letters of each minimal simple piece
-    found so far to the tuple of those pieces (module docstring).  The
-    caller owns the table and starts it empty.
+    Each stop is looked up in ``pieces``, which this call extends: it maps
+    the first 2g + 1 letters of each minimal simple piece found so far to
+    the tuple of those pieces (module docstring).  The caller owns the
+    table and starts it empty.
     """
     width = 2 * rank + 1
     n = len(letters)
-    count = start = 0
-    while n - start >= width:
+    cuts = [0]
+    while n - (start := cuts[-1]) >= width:
         head = letters[start : start + width]
         for piece in pieces.get(head, ()):
             tail = letters[start : start + len(piece)]
@@ -249,15 +250,14 @@ def _piece_simple_length(pieces: dict, rank: int, letters: tuple[int, ...]) -> i
                 stop = start + len(piece)
                 break
             if tail == piece[: len(tail)]:
-                return count
+                return cuts
         else:
             stop = _simple_stop(rank, letters, start)
             if stop is None:
-                return count
+                return cuts
             pieces[head] = pieces.get(head, ()) + (letters[start:stop],)
-        count += 1
-        start = stop
-    return count
+        cuts.append(stop)
+    return cuts
 
 
 def simple_length(w: ReducedWord) -> SimpleLengthWitness:
@@ -268,9 +268,7 @@ def simple_length(w: ReducedWord) -> SimpleLengthWitness:
     works; the witness pieces concatenate letterwise to ``w`` (a split
     never re-reduces across piece boundaries).
     """
-    cuts = [0]
-    while (stop := _simple_stop(w.rank, w.letters, cuts[-1])) is not None:
-        cuts.append(stop)
+    cuts = _greedy_cuts({}, w.rank, w.letters)
     if len(cuts) == 1:
         return SimpleLengthWitness(0, ())
     cuts[-1] = len(w)

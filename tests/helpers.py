@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's internal algorithms:
 connectivity is computed by fixpoint set expansion instead of low-link
 search, and the cut-vertex verdict tries every single vertex removal.
-:func:`cli_outcome` digests one command-line run for the byte guards.
+:func:`plain_greedy_cuts` chains the greedy stop without the piece table
+that the package's scan looks stops up in.  :func:`cli_outcome` digests
+one command-line run for the byte guards.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, Sequence
 from unittest import mock
 
 from spotdisk.cli import main
-from spotdisk.whitehead import WhiteheadGraph
+from spotdisk.whitehead import WhiteheadGraph, _simple_stop
 from spotdisk.words import ReducedWord, concat, inverse
 
 
@@ -50,6 +52,15 @@ def random_reduced_word(rng: random.Random, rank: int, length: int) -> ReducedWo
             continue
         letters.append(a)
     return ReducedWord(rank, tuple(letters))
+
+
+def plain_greedy_cuts(rank: int, letters: tuple[int, ...]) -> list[int]:
+    """Greedy cut positions ``[0, stop_1, ..]``: one greedy stop from each
+    cut, with no piece table, until no simple piece starts at the last."""
+    cuts = [0]
+    while (stop := _simple_stop(rank, letters, cuts[-1])) is not None:
+        cuts.append(stop)
+    return cuts
 
 
 def _reachable(start: str | int, verts: set, adjacency: dict) -> set:

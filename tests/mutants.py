@@ -22,8 +22,8 @@ them apart from the program, so no test can kill them.
 - the peel depth bound ``(length - 1) // 2`` with ``length // 2``: a
   segment peeled to nothing would be u u^-1, which a reduced word never
   contains.
-- the piece table's head ``letters[start : start + width]`` cut to 2g
-  letters: the buckets are only coarser, and each still holds every
+- ``_greedy_cuts``' table head ``letters[start : start + width]`` cut to
+  2g letters: the buckets are only coarser, and each still holds every
   known piece that can match.
 
 The list follows DeMillo, Lipton and Sayward, "Hints on test data
@@ -134,13 +134,13 @@ MUTANTS = [
     ),
     (
         WHITEHEAD,
-        "while n - start >= width:",
-        "while n - start > width:",
+        "while n - (start := cuts[-1]) >= width:",
+        "while n - (start := cuts[-1]) > width:",
         "a simple piece of exactly 2g + 1 letters ends the word and is counted",
     ),
     (
         WHITEHEAD,
-        "if tail == piece[: len(tail)]:\n                return count",
+        "if tail == piece[: len(tail)]:\n                return cuts",
         "if tail == piece[: len(tail)]:\n                pass",
         "a word that ends inside a known piece needs no greedy stop",
     ),
@@ -168,13 +168,13 @@ MUTANTS = [
         "            if certificate is None:\n"
         "                displacement = sum(abs(a - b) for a, b in zip(*key))\n"
         "                rel = concat(inverses[key[0]], lattice[key[1]])\n"
-        "                lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)\n"
+        "                lower = Fraction(len(_greedy_cuts(pieces, g, rel.letters)) - 1, 2)\n"
         "                certificate = certificates[key] = (",
         "certificate = certificates.get(key[1])\n"
         "            if certificate is None:\n"
         "                displacement = sum(abs(a - b) for a, b in zip(*key))\n"
         "                rel = concat(inverses[key[0]], lattice[key[1]])\n"
-        "                lower = Fraction(_piece_simple_length(pieces, g, rel.letters), 2)\n"
+        "                lower = Fraction(len(_greedy_cuts(pieces, g, rel.letters)) - 1, 2)\n"
         "                certificate = certificates[key[1]] = (",
         "rows share a certificate only when both k' and l' agree",
     ),
@@ -189,6 +189,18 @@ MUTANTS = [
         "out.close()\n    except OSError as exc:",
         "out.close()\n    except ZeroDivisionError as exc:",
         "a failed write to an output file exits 2, not 1 as internal",
+    ),
+    (
+        WHITEHEAD,
+        "cuts = _greedy_cuts({}, w.rank, w.letters)",
+        "cuts = _greedy_cuts(simple_length.__dict__.setdefault(\"pieces\", {}), w.rank, w.letters)",
+        "each simple_length call starts from an empty piece table",
+    ),
+    (
+        CLI,
+        "    except OSError as exc:\n        # Output files fail",
+        "    except BrokenPipeError as exc:\n        # Output files fail",
+        "a failed write to stdout exits 2, not 1 as internal",
     ),
 ]
 

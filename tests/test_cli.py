@@ -479,6 +479,30 @@ def test_closed_stdout_ends_quietly_with_141():
     assert proc.stderr == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["push", "--rank", "2", "--arc", "", "--loop", "x1"], id="push"),
+        pytest.param(["simple-length", "x1", "--rank", "2"], id="simple-length"),
+        pytest.param(["qi-cert", "--rank", "4", "--n", "3", "--grid-max", "2"], id="qi-cert"),
+    ],
+)
+def test_full_stdout_exits_2(monkeypatch, argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC: buffered, at the flush
+    # after the command; unbuffered, at the first print
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "w") as full:
+        proc = python_with_src(
+            ["-m", "spotdisk.cli", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
+
+
 CLI_BASE_MODULES = {
     "spotdisk", "spotdisk._record", "spotdisk.cli", "spotdisk.errors", "spotdisk.words"
 }

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from helpers import random_reduced_word
+from helpers import plain_greedy_cuts, random_reduced_word
 
 import spotdisk
 from spotdisk import cancelpairs, torustree, whitehead
@@ -254,13 +254,13 @@ def test_grid_scans_each_relative_word_once(monkeypatch):
 
     scanned = []
     counts = {"stops": 0, "searches": 0}
-    piece_simple_length = qicert._piece_simple_length
+    greedy_cuts = qicert._greedy_cuts
     simple_stop = whitehead._simple_stop
     cut_vertex_in = whitehead._cut_vertex_in
 
     def counting(pieces, rank, letters):
         scanned.append((rank, letters))
-        return piece_simple_length(pieces, rank, letters)
+        return greedy_cuts(pieces, rank, letters)
 
     def counting_stop(*args):
         counts["stops"] += 1
@@ -270,7 +270,7 @@ def test_grid_scans_each_relative_word_once(monkeypatch):
         counts["searches"] += 1
         return cut_vertex_in(*args)
 
-    monkeypatch.setattr(qicert, "_piece_simple_length", counting)
+    monkeypatch.setattr(qicert, "_greedy_cuts", counting)
     monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
     monkeypatch.setattr(whitehead, "_cut_vertex_in", counting_search)
     # 1 + sum_i m (m+1)^(2(n-i)) keys (k', l') for grid_max m; one scan
@@ -334,25 +334,25 @@ def test_grid_work_caps_count_rows_and_letters(monkeypatch):
         certify_grid(4, -1, 1)
 
 
-def test_piece_table_values_equal_simple_length_on_every_key(monkeypatch):
+def test_piece_table_values_equal_the_plain_chain_on_every_key(monkeypatch):
     import spotdisk.qicert as qicert
     import spotdisk.whitehead as whitehead
 
     seen = []
     stops = []
-    piece_simple_length = qicert._piece_simple_length
+    greedy_cuts = qicert._greedy_cuts
     simple_stop = whitehead._simple_stop
 
     def recording(pieces, rank, letters):
-        value = piece_simple_length(pieces, rank, letters)
-        seen.append((rank, letters, value))
-        return value
+        cuts = greedy_cuts(pieces, rank, letters)
+        seen.append((rank, letters, cuts))
+        return cuts
 
     def counting_stop(*args):
         stops.append(args)
         return simple_stop(*args)
 
-    monkeypatch.setattr(qicert, "_piece_simple_length", recording)
+    monkeypatch.setattr(qicert, "_greedy_cuts", recording)
     monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
     keys = 0
     first_stops = {}
@@ -362,8 +362,8 @@ def test_piece_table_values_equal_simple_length_on_every_key(monkeypatch):
             stops.clear()
             certify_grid(g, n, grid_max)
             first_stops[g, n] = len(stops)
-            for rank, letters, value in seen:
-                assert value == simple_length(ReducedWord(rank, letters)).value
+            for rank, letters, cuts in seen:
+                assert cuts == plain_greedy_cuts(rank, letters)
             keys += len(seen)
     assert keys == 3 * 3 * (1 + 8 * 9**2 + 8 + 1 + 3 * 4**4 + 3 * 4**2 + 3)
     # Each call starts from an empty table: after every grid above, a
@@ -375,8 +375,8 @@ def test_piece_table_values_equal_simple_length_on_every_key(monkeypatch):
         assert len(stops) == first_stops[g, 2]
 
 
-def test_piece_table_matches_simple_length_on_every_prefix():
-    from spotdisk.whitehead import _piece_simple_length
+def test_piece_table_cuts_match_the_plain_chain_on_every_prefix():
+    from spotdisk.whitehead import _greedy_cuts
 
     # One table per rank, fed every prefix of each word shortest first, so
     # scans both look up known pieces and add new ones.
@@ -391,8 +391,7 @@ def test_piece_table_matches_simple_length_on_every_prefix():
         for w in words:
             for j in range(len(w) + 1):
                 prefix = w.letters[:j]
-                want = simple_length(ReducedWord(rank, prefix)).value
-                assert _piece_simple_length(pieces, rank, prefix) == want
+                assert _greedy_cuts(pieces, rank, prefix) == plain_greedy_cuts(rank, prefix)
 
 
 def test_piece_table_ends_inside_a_known_piece_without_a_scan(monkeypatch):
@@ -410,18 +409,14 @@ def test_piece_table_ends_inside_a_known_piece_without_a_scan(monkeypatch):
     rng = random.Random(513)
     for rank in range(2, 7):
         w = random_reduced_word(rng, rank, 120)
-        witness = simple_length(w)
-        assert witness.value >= 3
-        last_cut = len(w) - len(witness.pieces[-1])
-        want = [simple_length(ReducedWord(rank, w.letters[:j])).value for j in range(last_cut)]
+        whole = plain_greedy_cuts(rank, w.letters)
+        assert len(whole) >= 4
+        want = [plain_greedy_cuts(rank, w.letters[:j]) for j in range(whole[-1])]
         pieces = {}
-        whitehead._piece_simple_length(pieces, rank, w.letters)
+        whitehead._greedy_cuts(pieces, rank, w.letters)
         with monkeypatch.context() as patch:
             patch.setattr(whitehead, "_simple_stop", counting_stop)
-            got = [
-                whitehead._piece_simple_length(pieces, rank, w.letters[:j])
-                for j in range(last_cut)
-            ]
+            got = [whitehead._greedy_cuts(pieces, rank, w.letters[:j]) for j in range(whole[-1])]
         assert got == want
         assert stops == []
 

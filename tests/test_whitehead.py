@@ -14,7 +14,7 @@ from spotdisk.whitehead import (
     to_dot,
     whitehead_graph,
 )
-from spotdisk.words import ReducedWord, inverse, parse, subword
+from spotdisk.words import ReducedWord, inverse, parse, power, subword
 
 
 def test_single_pair_word_gives_one_edge():
@@ -213,6 +213,67 @@ def test_simple_pieces_of_exactly_2g_plus_1_letters_keep_their_stop():
         letters = (-2, 1) + piece
         assert whitehead._simple_stop(rank, letters, 2) == len(letters)
         assert not has_cut_vertex(whitehead_graph(ReducedWord(rank, piece)))
+
+
+def _counting_stops(monkeypatch) -> list:
+    stops = []
+    simple_stop = whitehead._simple_stop
+
+    def counting_stop(*args):
+        stops.append(args)
+        return simple_stop(*args)
+
+    monkeypatch.setattr(whitehead, "_simple_stop", counting_stop)
+    return stops
+
+
+def test_periodic_words_look_their_stops_up(monkeypatch):
+    # every cut of b_t^40 after the first starts the same minimal piece,
+    # so the plain chain of stops, 41 here, shrinks to a few lookups
+    stops = _counting_stops(monkeypatch)
+    for g in (4, 6, 10):
+        for t in (1, 3, 5):
+            stops.clear()
+            assert simple_length(power(qicert.make_bt(g, t), 40)).value == 40
+            assert len(stops) <= 3, (g, t)
+
+
+def test_each_simple_length_call_starts_an_empty_table(monkeypatch):
+    stops = _counting_stops(monkeypatch)
+    greedy_cuts = whitehead._greedy_cuts
+    entry_sizes = []
+
+    def recording(pieces, rank, letters):
+        entry_sizes.append(len(pieces))
+        return greedy_cuts(pieces, rank, letters)
+
+    monkeypatch.setattr(whitehead, "_greedy_cuts", recording)
+    w = random_reduced_word(random.Random(31), 3, 200)
+    counts = []
+    for _ in range(2):
+        stops.clear()
+        assert simple_length(w).value >= 3
+        counts.append(len(stops))
+    assert counts[0] == counts[1]
+    word = (1, 2, -1, -2, 1)
+    for ranks in ((2, 3), (3, 2)):
+        values = {rank: simple_length(ReducedWord(rank, word)).value for rank in ranks}
+        assert values == {2: 1, 3: 0}
+    assert entry_sizes == [0] * 6
+
+
+def test_push_word_powers_have_simple_length_their_exponent(monkeypatch):
+    # after one period of b_t the scan is at a fixed point: one more
+    # period adds exactly one greedy cut and returns to it, so every piece
+    # after the first is looked up, and one more stop finds no piece
+    stops = _counting_stops(monkeypatch)
+    for g in range(4, 11):
+        for t in range(1, 6):
+            b = qicert.make_bt(g, t)
+            for d in range(1, 9):
+                stops.clear()
+                assert simple_length(power(b, d)).value == d, (g, t, d)
+                assert len(stops) <= 2, (g, t, d)
 
 
 def test_from_pairs_canonicalizes_and_validates():
