@@ -7,9 +7,10 @@ stderr when the reader of stdout closes it early.  A failed open, write
 or close of an output file, and a failed write to stdout, exit 2.
 Diagnostics go to stderr, results to stdout; identical inputs produce
 byte-identical output.  ``qi-cert --jobs`` is accepted and validated for
-compatibility; rows are computed in one thread.  Each subcommand imports
-only the modules it runs, to keep start-up short: ``fractions``, which
-``cancelpairs`` and ``qicert`` use, pulls in ``decimal``.
+compatibility; rows are computed in one thread, and their CSV goes to
+stdout and ``--csv`` as it is made.  Each subcommand imports only the
+modules it runs, to keep start-up short: ``fractions``, which
+``cancelpairs`` uses, pulls in ``decimal``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 
 from .errors import CapExceeded, RankError
 from .words import format_word, parse
@@ -53,12 +54,16 @@ def _open_output(path: str | None):
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_output(out, lines) -> None:
-    """Write lines to a file from :func:`_open_output` and close it; an OSError exits 2."""
+def _write_output(out, lines, close: bool = True) -> None:
+    """Write lines to a file from :func:`_open_output`, and close it unless
+    ``close`` is false; an OSError closes it and exits 2."""
     try:
         out.writelines(lines)
-        out.close()
+        if close:
+            out.close()
     except OSError as exc:
+        with suppress(OSError):  # drop the unwritten rest, so no later close can fail
+            out.close()
         raise ValueError(f"cannot write {out.name}: {exc.strerror}") from None
 
 
@@ -131,15 +136,18 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
     _check_rank_cap(args.rank)
     qicert.check_grid(args.rank, args.n, args.grid_max)
     with _open_output(args.csv) as csv:
-        rows = qicert.certify_grid(args.rank, args.n, args.grid_max)
-        text = qicert.to_csv(rows, args.rank)
-        sys.stdout.write(text)
-        summary = qicert.summarize(rows)
-        print(f"rows: {summary.rows}")
-        print(f"min ratio: {summary.min_ratio if summary.min_ratio is not None else '-'}")
-        print(f"max ratio: {summary.max_ratio if summary.max_ratio is not None else '-'}")
+
+        def write(text: str) -> None:
+            sys.stdout.write(text)
+            if csv:
+                _write_output(csv, (text,), close=False)
+
+        rows, low, high = qicert.stream_csv(args.rank, args.n, args.grid_max, write)
+        print(f"rows: {rows}")
+        print(f"min ratio: {low if low is not None else '-'}")
+        print(f"max ratio: {high if high is not None else '-'}")
         if csv:
-            _write_output(csv, (text,))
+            _write_output(csv, ())
     return 0
 
 

@@ -27,8 +27,15 @@ pair: about m (m+1)^(2n-2) scans for grid_max m, against about
 (m+1)^(2n)/2 pairs.  :func:`relative_word` stays the per-pair definition.
 The rest of a row is per key too: k - l and k' - l' agree from coordinate
 i on and vanish before it, so |k - l|_1 = |k' - l'|_1.
-Each grid point gets its push word and that word's inverse once, so a
-relative word is one slice join of two stored words.
+Each grid point gets its push word once, and each point k' its inverse,
+so a relative word is one slice join of two stored words.
+
+One generator enumerates the rows, by key and without a per-pair search:
+for each k, the l with first difference i are consecutive points, and
+their keys depend only on i and (k_{i+1}, .., k_n).  :func:`certify_grid`
+makes rows of it; :func:`stream_csv`, which the command line runs,
+renders its CSV text run by run and holds only per-point and per-key
+text, never a row, a ``Fraction`` or the whole text.
 
 The scans are the greedy scan of :func:`simple_length`, sharing one
 table of the minimal simple pieces found so far, keyed by their first
@@ -36,28 +43,27 @@ table of the minimal simple pieces found so far, keyed by their first
 are exact).  Few distinct pieces occur in a grid, so the greedy stop
 runs once per distinct piece, plus at most once per word, when its
 letters after the last cut start no known piece; every other stop is a
-lookup.  The table belongs to one :func:`certify_grid` call.
+lookup.  The table belongs to one grid.
 
 The upper bound of a row is the total of the :func:`upper_bound` trace,
 sum_i (6|k_i - l_i| + 8) = 6 displacement + 8n, with 6 the per-power
-move budget ``PUSH_STEP_BUDGET``.  :func:`certify_grid` writes it in
-that closed form, once per key, without building the 3n trace steps;
+move budget ``PUSH_STEP_BUDGET``.  A grid writes it in that closed
+form, once per key, without building the 3n trace steps;
 :func:`upper_bound` stays the trace that audits it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import gcd
 from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import CapExceeded
-from .pushcalc import BoundTrace, TraceStep
 # simple_length is not called here, but perfbench/traced_cli.py wraps
 # qicert.simple_length (and counts qicert.concat) by name.
 from .whitehead import _greedy_cuts, simple_length  # noqa: F401
-from .words import ReducedWord, concat, inverse, power
+from .words import ReducedWord, _trusted, concat, inverse, power
 
 __all__ = [
     "PUSH_STEP_BUDGET",
@@ -69,9 +75,12 @@ __all__ = [
     "upper_bound",
     "check_grid",
     "certify_grid",
+    "stream_csv",
     "summarize",
     "to_csv",
 ]
+
+_CSV_HEADER = "n,g,k,l,displacement,lower,upper,ratio"
 
 # Cost of moving the base disk by one full push word; this budget holds
 # from rank 4 on.
@@ -136,6 +145,8 @@ def upper_bound(k: Sequence[int], ell: Sequence[int]) -> BoundTrace:
     around a free relabel of the fixed side by the prefix.  The trace
     total is sum_i (6|k_i - ell_i| + 8).
     """
+    from .pushcalc import BoundTrace, TraceStep  # an audit, off the grid's path
+
     k, ell = tuple(k), tuple(ell)
     if len(k) != len(ell):
         raise ValueError(f"lattice points differ in length: {len(k)} vs {len(ell)}")
@@ -205,44 +216,132 @@ def check_grid(g: int, n: int, grid_max: int) -> None:
         raise CapExceeded(f"grid words may reach more than {MAX_GRID_LETTERS} letters")
 
 
+def _lattice_points(n: int, grid_max: int) -> list[tuple[int, ...]]:
+    """The points of {0..grid_max}^n in lexicographic order: the point of
+    index a has the base-(grid_max + 1) digits of a as coordinates."""
+    return list(product(range(grid_max + 1), repeat=n))
+
+
+def _grid_runs(g: int, n: int, grid_max: int, certificate):
+    """The rows of :func:`certify_grid` in order, as runs ``(a, b, values)``:
+    the rows (points[a], points[b + j]) with per-key value ``values[j]``,
+    for the points of :func:`_lattice_points`.
+
+    ``certificate(displacement, relative_word, s, upper)`` makes the value
+    of a key (k', l') once, from its simple length s.  For each k the runs
+    are the diagonal, then for i from n down to 1 the points l whose first
+    difference is l_i > k_i, in lexicographic order; those are the
+    consecutive points from (k_1, .., k_{i-1}, k_i + 1, 0, .., 0) on.  The
+    keys of a run depend on i and (k_{i+1}, .., k_n) only, so each block
+    of keys is built once and later runs take a prefix of it.  Checks
+    nothing: callers run :func:`check_grid` first.
+    """
+    width = grid_max + 1
+    points = _lattice_points(n, grid_max)
+    # b_t has positive letters only, so b_t^e is a tuple repeat and a push
+    # word is the join of its coordinates' powers; a zero coordinate and a
+    # one-point grid build no push word.
+    powers = [
+        [()] + [make_bt(g, t).letters * e for e in range(1, width)] for t in range(1, n + 1)
+    ]
+    lattice = [_trusted(g, tuple(chain.from_iterable(p))) for p in product(*powers)]
+    # k' = (0, ..) + k[i+1:] starts with a zero: it is among the first 1/(m+1) points
+    inverses = [inverse(w) for w in lattice[: len(lattice) // width]]
+    pieces: dict = {}
+
+    def value(kp: int, lp: int):
+        # the key (points[kp], points[lp])
+        displacement = sum(abs(x - y) for x, y in zip(points[kp], points[lp]))
+        rel = concat(inverses[kp], lattice[lp])
+        s = len(_greedy_cuts(pieces, g, rel.letters)) - 1
+        return certificate(displacement, rel, s, PUSH_STEP_BUDGET * displacement + 8 * n)
+
+    diagonal = [value(0, 0)]
+    blocks: dict[tuple[int, int], list] = {}
+    for a, k in enumerate(points):
+        yield a, a, diagonal
+        size = 1  # (m+1)^(n-1-i): the free tails l[i+1:]
+        for i in range(n - 1, -1, -1):
+            rows = (grid_max - k[i]) * size
+            if rows:
+                tail = a % size  # the index of k[i+1:], and of k' = (0, .., 0) + k[i+1:]
+                # met first with k[:i+1] = 0, so with every row; the j-th
+                # l' = (0, .., 0, l[i] - k[i]) + l[i+1:] has index size + j
+                block = blocks.get((i, tail))
+                if block is None:
+                    block = blocks[i, tail] = [value(tail, b) for b in range(size, size + rows)]
+                yield a, a - tail + size, block[:rows]
+            size *= width
+
+
 def certify_grid(g: int, n: int, grid_max: int) -> list[CertificateRow]:
     """Certificate rows for every unordered pair of points in
     {0..grid_max}^n, in lexicographic (k, l) order.
 
-    Push words and their inverses are built once per point, and every
-    other row value once per key (k', l') of the module docstring, the
-    lower bounds through this call's piece table.
+    Push words are built once per point, their inverses once per point
+    k', and every other row value once per key (k', l') of the module
+    docstring, the lower bounds through this call's piece table; the rows
+    of one key share those objects.  :func:`check_grid` runs first.
+    """
+    check_grid(g, n, grid_max)
+    from fractions import Fraction
+
+    def certificate(displacement, rel, s, upper):
+        lower = Fraction(s, 2)
+        return displacement, rel, lower, upper, lower / displacement if displacement else None
+
+    points = _lattice_points(n, grid_max)
+    return [
+        CertificateRow(points[a], points[b], *values)
+        for a, start, run in _grid_runs(g, n, grid_max, certificate)
+        for b, values in enumerate(run, start)
+    ]
+
+
+def stream_csv(g: int, n: int, grid_max: int, write) -> tuple[int, str | None, str | None]:
+    """Pass ``to_csv(certify_grid(g, n, grid_max), g)`` to ``write`` run
+    by run, building no row, and return the fields of
+    ``summarize(certify_grid(g, n, grid_max))`` as (rows, min ratio,
+    max ratio), each ratio as its ``p/q`` text or None.
+
+    Each point's text and each key's text after ``l`` are rendered once;
+    the ratios s / (2 displacement) are compared by cross-multiplying.
     :func:`check_grid` runs first.
     """
     check_grid(g, n, grid_max)
-    points = sorted(product(range(grid_max + 1), repeat=n))
-    zero = points[0]
-    lattice = {p: lambda_word(g, n, p) for p in points}
-    inverses = {p: inverse(w) for p, w in lattice.items()}
-    pieces: dict = {}
-    certificates: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple] = {}
-    rows = []
-    for idx, k in enumerate(points):
-        for l in points[idx:]:
-            i = next((i for i, (a, b) in enumerate(zip(k, l)) if a != b), n)
-            key = (zero, zero) if i == n else (
-                zero[: i + 1] + k[i + 1 :],
-                zero[:i] + (l[i] - k[i],) + l[i + 1 :],
-            )
-            certificate = certificates.get(key)
-            if certificate is None:
-                displacement = sum(abs(a - b) for a, b in zip(*key))
-                rel = concat(inverses[key[0]], lattice[key[1]])
-                lower = Fraction(len(_greedy_cuts(pieces, g, rel.letters)) - 1, 2)
-                certificate = certificates[key] = (
-                    displacement,
-                    rel,
-                    lower,
-                    PUSH_STEP_BUDGET * displacement + 8 * n,
-                    lower / displacement if displacement else None,
-                )
-            rows.append(CertificateRow(k, l, *certificate))
-    return rows
+    low = high = None  # (p, q) of the least and greatest ratio so far
+
+    def certificate(displacement, rel, s, upper):
+        nonlocal low, high
+        if not displacement:
+            return f",0,{_fraction_text(s, 2)},{upper},\n"
+        p, q = s, 2 * displacement
+        if low is None or p * low[1] < low[0] * q:
+            low = p, q
+        if high is None or p * high[1] > high[0] * q:
+            high = p, q
+        return f",{displacement},{_fraction_text(s, 2)},{upper},{_fraction_text(p, q)}\n"
+
+    texts = [_vec(p) for p in _lattice_points(n, grid_max)]
+    heads = [f"{n},{g},{text}," for text in texts]
+    rows = 0
+    write(_CSV_HEADER + "\n")
+    for a, start, run in _grid_runs(g, n, grid_max, certificate):
+        head = heads[a]
+        ls = texts[start : start + len(run)]
+        write("".join([head + text + tail for text, tail in zip(ls, run)]))
+        rows += len(run)
+    return (
+        rows,
+        None if low is None else _fraction_text(*low),
+        None if high is None else _fraction_text(*high),
+    )
+
+
+def _fraction_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for p >= 0 and q > 0, without ``fractions``."""
+    d = gcd(p, q)
+    return str(p // d) if q == d else f"{p // d}/{q // d}"
 
 
 def summarize(rows: Iterable[CertificateRow]) -> GridSummary:
@@ -256,7 +355,7 @@ def summarize(rows: Iterable[CertificateRow]) -> GridSummary:
 
 def to_csv(rows: Iterable[CertificateRow], g: int) -> str:
     """CSV rendering; vectors are ';'-joined, rationals print as p/q."""
-    lines = ["n,g,k,l,displacement,lower,upper,ratio"]
+    lines = [_CSV_HEADER]
     for r in rows:
         ratio = "" if r.ratio is None else str(r.ratio)
         lines.append(

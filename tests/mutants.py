@@ -147,8 +147,8 @@ MUTANTS = [
     (
         QICERT,
         "    pieces: dict = {}\n",
-        "    pieces = certify_grid.__dict__.setdefault(\"pieces\", {})\n",
-        "each certify_grid call starts from an empty piece table",
+        "    pieces = _grid_runs.__dict__.setdefault(\"pieces\", {})\n",
+        "each grid starts from an empty piece table",
     ),
     (
         WHITEHEAD,
@@ -158,24 +158,18 @@ MUTANTS = [
     ),
     (
         QICERT,
-        "displacement = sum(abs(a - b) for a, b in zip(*key))",
-        "displacement = sum(key[1])",
+        "displacement = sum(abs(x - y) for x, y in zip(points[kp], points[lp]))",
+        "displacement = sum(points[lp])",
         "a key's displacement is |k' - l'|_1, which k' enters too",
     ),
     (
         QICERT,
-        "certificate = certificates.get(key)\n"
-        "            if certificate is None:\n"
-        "                displacement = sum(abs(a - b) for a, b in zip(*key))\n"
-        "                rel = concat(inverses[key[0]], lattice[key[1]])\n"
-        "                lower = Fraction(len(_greedy_cuts(pieces, g, rel.letters)) - 1, 2)\n"
-        "                certificate = certificates[key] = (",
-        "certificate = certificates.get(key[1])\n"
-        "            if certificate is None:\n"
-        "                displacement = sum(abs(a - b) for a, b in zip(*key))\n"
-        "                rel = concat(inverses[key[0]], lattice[key[1]])\n"
-        "                lower = Fraction(len(_greedy_cuts(pieces, g, rel.letters)) - 1, 2)\n"
-        "                certificate = certificates[key[1]] = (",
+        "block = blocks.get((i, tail))\n"
+        "                if block is None:\n"
+        "                    block = blocks[i, tail] =",
+        "block = blocks.get(i)\n"
+        "                if block is None:\n"
+        "                    block = blocks[i] =",
         "rows share a certificate only when both k' and l' agree",
     ),
     (
@@ -201,6 +195,36 @@ MUTANTS = [
         "    except OSError as exc:\n        # Output files fail",
         "    except BrokenPipeError as exc:\n        # Output files fail",
         "a failed write to stdout exits 2, not 1 as internal",
+    ),
+    (
+        QICERT,
+        "d = gcd(p, q)",
+        "d = 1",
+        "qi-cert prints each rational in lowest terms, as str(Fraction) does",
+    ),
+    (
+        QICERT,
+        "yield a, a - tail + size, block[:rows]",
+        "yield a, a - tail, block[:rows]",
+        "the rows first differing at coordinate i start at l_i = k_i + 1",
+    ),
+    (
+        QICERT,
+        "        yield a, a, diagonal\n",
+        "        pass\n",
+        "every point k pairs with itself in a diagonal row",
+    ),
+    (
+        QICERT,
+        "if low is None or p * low[1] < low[0] * q:",
+        "if low is None or p * low[1] > low[0] * q:",
+        "qi-cert prints the least ratio as its min ratio",
+    ),
+    (
+        QICERT,
+        "tail = a % size",
+        "tail = a % (size * width)",
+        "k' = (0, .., 0, k_{i+1}, .., k_n) drops coordinate i",
     ),
 ]
 

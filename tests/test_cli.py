@@ -413,6 +413,26 @@ def test_failed_write_to_an_output_file_exits_2(capsys, argv, first_line):
     assert err == "error: cannot write /dev/full: No space left on device\n"
 
 
+# 3,321 rows and 81,911 bytes of CSV: past the 8 KiB buffer of a file or
+# stdout, so qi-cert writes to them while it still computes rows
+STREAMED_GRID = ["qi-cert", "--rank", "4", "--n", "2", "--grid-max", "8"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_failed_streamed_csv_write_exits_2_mid_stream():
+    # the --csv write fails before the last row: stdout holds part of the
+    # CSV and no summary, and the message names the file, not stdout
+    proc = python_with_src(
+        ["-m", "spotdisk.cli", *STREAMED_GRID, "--csv", "/dev/full"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write /dev/full: No space left on device\n"
+    assert proc.stdout.startswith("n,g,k,l,displacement,lower,upper,ratio\n2,4,0;0,0;0,0,0,16,\n")
+    assert "rows:" not in proc.stdout
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -479,6 +499,25 @@ def test_closed_stdout_ends_quietly_with_141():
     assert proc.stderr == b""
 
 
+def test_reader_closing_stdout_mid_stream_ends_quietly_with_141():
+    # 382 KB of CSV, far past a 64 KiB pipe: the child is still writing rows
+    # when the reader leaves after the first chunk
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spotdisk.cli", "qi-cert", "--rank", "4", "--n", "2",
+         "--grid-max", "12"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.read1(4096)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"n,g,k,l,")
+    assert err == b""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
@@ -487,6 +526,7 @@ def test_closed_stdout_ends_quietly_with_141():
         pytest.param(["push", "--rank", "2", "--arc", "", "--loop", "x1"], id="push"),
         pytest.param(["simple-length", "x1", "--rank", "2"], id="simple-length"),
         pytest.param(["qi-cert", "--rank", "4", "--n", "3", "--grid-max", "2"], id="qi-cert"),
+        pytest.param(STREAMED_GRID, id="qi-cert-streamed"),
     ],
 )
 def test_full_stdout_exits_2(monkeypatch, argv, unbuffered):
@@ -516,10 +556,7 @@ CLI_BASE_MODULES = {
             (["wg", "x1 x2", "--rank", "2"], {"whitehead"}),
             (["simple-length", "x1 x2", "--rank", "2"], {"whitehead"}),
             (["cr-bounds", "x1 x2", "--rank", "2"], {"cancelpairs", "whitehead"}),
-            (
-                ["qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1"],
-                {"qicert", "pushcalc", "whitehead"},
-            ),
+            (["qi-cert", "--rank", "4", "--n", "1", "--grid-max", "1"], {"qicert", "whitehead"}),
             (["push", "--rank", "2", "--arc", "", "--loop", "x1"], {"pushcalc"}),
             (["torus-ball", "--radius", "1", "--valency", "3", "--leaves", "1"], {"torustree"}),
             (["--help"], set()),
@@ -528,7 +565,9 @@ CLI_BASE_MODULES = {
 )
 def test_subcommand_imports_only_its_modules(argv, own_modules):
     # A fresh interpreter runs main(argv) and reports every module it loaded
-    # on stderr; fractions (and with it decimal) is for cr-bounds and qi-cert.
+    # on stderr; fractions (and with it decimal) is for cr-bounds alone.
+    # qi-cert prints its ratios from ints and leaves pushcalc, which only
+    # the upper_bound audit uses, unloaded.
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
@@ -545,7 +584,7 @@ def test_subcommand_imports_only_its_modules(argv, own_modules):
     spotdisk = {name for name in loaded if name.split(".")[0] == "spotdisk"}
     assert spotdisk == CLI_BASE_MODULES | {f"spotdisk.{name}" for name in own_modules}
     assert not loaded & {"dataclasses", "inspect"}
-    if not own_modules & {"cancelpairs", "qicert"}:
+    if "cancelpairs" not in own_modules:
         assert not loaded & {"fractions", "decimal"}
 
 

@@ -10,8 +10,10 @@ from spotdisk import cancelpairs, torustree, whitehead
 from spotdisk.cancelpairs import cr_lower_bound, enumerate_nested_families
 from spotdisk.errors import CapExceeded
 from spotdisk.pushcalc import ArcLabel, disk_normalize
+from spotdisk.cli import main
 from spotdisk.qicert import (
     CertificateRow,
+    _fraction_text,
     certify_grid,
     lambda_word,
     make_bt,
@@ -246,6 +248,41 @@ def test_grid_rows_match_the_per_pair_definitions():
                 assert to_csv(rows, g) == want_csv
                 cases += 1
     assert cases == 8 * 11
+
+
+# the grids of test_grid_rows_match_the_per_pair_definitions, then larger
+# grids, more coordinates, a larger rank, and one long relative word
+STREAMED_GRIDS = [
+    (g, n, grid_max)
+    for g in range(4, 12)
+    for n in (1, 2, 3)
+    for grid_max in range(3 if n == 3 else 4)
+] + [(4, 1, 30), (4, 4, 2), (4, 5, 1), (7, 3, 2), (1000, 2, 2)]
+
+
+def test_cli_stream_equals_the_csv_and_summary_of_the_rows(tmp_path, capsys):
+    # qi-cert renders its CSV from per-key values without building rows;
+    # both of its sinks must hold the rows' CSV byte for byte
+    path = tmp_path / "grid.csv"
+    for g, n, grid_max in STREAMED_GRIDS:
+        argv = ["qi-cert", "--rank", str(g), "--n", str(n), "--grid-max", str(grid_max)]
+        assert main([*argv, "--csv", str(path)]) == 0
+        captured = capsys.readouterr()
+        rows = certify_grid(g, n, grid_max)
+        summary = summarize(rows)
+        want = to_csv(rows, g)
+        low = "-" if summary.min_ratio is None else summary.min_ratio
+        high = "-" if summary.max_ratio is None else summary.max_ratio
+        summary_lines = f"rows: {summary.rows}\nmin ratio: {low}\nmax ratio: {high}\n"
+        assert captured.out == want + summary_lines
+        assert captured.err == ""
+        assert path.read_text(encoding="utf-8") == want
+
+
+def test_fraction_text_equals_str_of_fraction():
+    for p in range(301):
+        for q in range(1, 301):
+            assert _fraction_text(p, q) == str(Fraction(p, q)), (p, q)
 
 
 def test_grid_scans_each_relative_word_once(monkeypatch):
