@@ -1,7 +1,8 @@
 """Cancelling pairs, nested families, and conjugate-reduced length bounds.
 
 A cancelling pair in a reduced word is a pair of disjoint subword
-occurrences of the form ``u``, ``u^-1``.  A family of such pairs is
+occurrences of the form ``u``, ``u^-1``, held as the index ranges
+``((i1, j1), (i2, j2))`` with ``j1 <= i2``.  A family of such pairs is
 nested when for any two pairs, one member of the second pair lies
 between the two members of the first exactly when the other member
 does.  Erasing a family and measuring what is left gives a computable
@@ -20,7 +21,6 @@ from .whitehead import simple_length, subword_simple_lengths
 from .words import ReducedWord, subword
 
 __all__ = [
-    "CancellingPair",
     "ConjugateReducedWitness",
     "enumerate_nested_families",
     "cr_lower_bound",
@@ -29,15 +29,6 @@ __all__ = [
 
 DEFAULT_FAMILY_CAP = 20
 DEFAULT_CR_CAP = 32
-
-
-class CancellingPair(Record):
-    """Two index ranges ``[i1, j1)``, ``[i2, j2)`` with ``j1 <= i2``; the
-    letters of the first range must spell the inverse of the second."""
-
-    __slots__ = ("first", "second")
-    first: tuple[int, int]
-    second: tuple[int, int]
 
 
 class ConjugateReducedWitness(Record):
@@ -54,25 +45,27 @@ class ConjugateReducedWitness(Record):
     decomposition: tuple[tuple[ReducedWord, ReducedWord], ...]
 
 
+_Pair = tuple[tuple[int, int], tuple[int, int]]
+
+
 def _disjoint(r: tuple[int, int], s: tuple[int, int]) -> bool:
     return r[1] <= s[0] or s[1] <= r[0]
 
 
-def _between(r: tuple[int, int], host: CancellingPair) -> bool:
-    return host.first[1] <= r[0] and r[1] <= host.second[0]
+def _between(r: tuple[int, int], host: _Pair) -> bool:
+    return host[0][1] <= r[0] and r[1] <= host[1][0]
 
 
-def _compatible(p: CancellingPair, q: CancellingPair) -> bool:
-    for r in (q.first, q.second):
-        for s in (p.first, p.second):
+def _compatible(p: _Pair, q: _Pair) -> bool:
+    for r in q:
+        for s in p:
             if not _disjoint(r, s):
                 return False
-    return _between(q.first, p) == _between(q.second, p) and _between(
-        p.first, q
-    ) == _between(p.second, q)
+    return _between(q[0], p) == _between(q[1], p) and _between(p[0], q) == _between(p[1], q)
 
 
-def _candidate_pairs(w: ReducedWord) -> list[CancellingPair]:
+def _candidate_pairs(w: ReducedWord) -> list[_Pair]:
+    """Every cancelling pair of ``w``, sorted."""
     letters = w.letters
     n = len(letters)
     out = []
@@ -80,26 +73,26 @@ def _candidate_pairs(w: ReducedWord) -> list[CancellingPair]:
         for i1 in range(n - 2 * length + 1):
             for i2 in range(i1 + length, n - length + 1):
                 if all(letters[i1 + t] == -letters[i2 + length - 1 - t] for t in range(length)):
-                    out.append(CancellingPair((i1, i1 + length), (i2, i2 + length)))
-    out.sort(key=lambda p: (p.first, p.second))
+                    out.append(((i1, i1 + length), (i2, i2 + length)))
+    out.sort()
     return out
 
 
-def enumerate_nested_families(w: ReducedWord) -> Iterator[tuple[CancellingPair, ...]]:
-    """All nested cancelling families of ``w``, each a tuple of pairs, the
-    empty family first; words longer than ``DEFAULT_FAMILY_CAP`` letters
-    are refused.
+def enumerate_nested_families(w: ReducedWord) -> Iterator[tuple[_Pair, ...]]:
+    """All nested cancelling families of ``w``, each a tuple of pairs
+    ``((i1, j1), (i2, j2))``, the empty family first; words longer than
+    ``DEFAULT_FAMILY_CAP`` letters are refused.
 
     Families are emitted in depth-first order over the candidate pairs
-    sorted by their ranges, so the enumeration is deterministic and free
-    of duplicates.
+    sorted by their ranges, which is ascending tuple order, so the
+    enumeration is deterministic and free of duplicates.
     """
     n = len(w)
     if n > DEFAULT_FAMILY_CAP:
         raise CapExceeded(f"word length {n} exceeds family enumeration cap {DEFAULT_FAMILY_CAP}")
     cands = _candidate_pairs(w)
 
-    def walk(start: int, chosen: list[CancellingPair]) -> Iterator[tuple[CancellingPair, ...]]:
+    def walk(start: int, chosen: list[_Pair]) -> Iterator[tuple[_Pair, ...]]:
         yield tuple(chosen)
         for idx in range(start, len(cands)):
             cand = cands[idx]
@@ -133,9 +126,9 @@ def _least_leftover_costs(w: ReducedWord) -> dict[int, int]:
     """
     n = len(w)
     table = subword_simple_lengths(w)
-    ending: dict[int, list[CancellingPair]] = {}
+    ending: dict[int, list[_Pair]] = {}
     for pair in _candidate_pairs(w):
-        ending.setdefault(pair.second[1], []).append(pair)
+        ending.setdefault(pair[1][1], []).append(pair)
 
     h: dict[tuple[int, int], dict[int, int]] = {}
     tail: dict[tuple[int, int], dict[int, int]] = {}
@@ -144,7 +137,7 @@ def _least_leftover_costs(w: ReducedWord) -> dict[int, int]:
             b = a + length
             last: dict[int, int] = {}
             for pair in ending.get(b, ()):
-                (i1, j1), (i2, _) = pair.first, pair.second
+                (i1, j1), (i2, _) = pair
                 if i1 < a:
                     continue
                 inner = h[j1, i2]

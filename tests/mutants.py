@@ -226,6 +226,24 @@ MUTANTS = [
         "tail = a % (size * width)",
         "k' = (0, .., 0, k_{i+1}, .., k_n) drops coordinate i",
     ),
+    (
+        CANCELPAIRS,
+        "    out.sort()\n    return out",
+        "    return out",
+        "families come depth-first over candidate pairs sorted by their ranges",
+    ),
+    (
+        CANCELPAIRS,
+        "ending.setdefault(pair[1][1], [])",
+        "ending.setdefault(pair[1][0], [])",
+        "the dynamic program files each pair under the end of its second range",
+    ),
+    (
+        CANCELPAIRS,
+        "for s in p:",
+        "for s in q:",
+        "two pairs of a family use disjoint ranges",
+    ),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from helpers import all_reduced_words, conjugate_product, random_reduced_word
 
 from spotdisk.cancelpairs import (
+    _candidate_pairs,
     _least_leftover_costs,
     cr_bruteforce,
     cr_lower_bound,
@@ -16,12 +17,11 @@ from spotdisk.whitehead import simple_length, subword_simple_lengths
 from spotdisk.words import ReducedWord, concat, inverse, parse
 
 
-def naive_families(w):
-    """Independent enumeration: double loop over range pairs, then subset
-    filtering with index-set logic."""
+def naive_pairs(w):
+    """Independent candidate scan: a loop over every pair of ranges."""
     letters = w.letters
     n = len(letters)
-    cands = []
+    pairs = []
     for i1 in range(n):
         for j1 in range(i1 + 1, n + 1):
             for i2 in range(j1, n):
@@ -29,7 +29,14 @@ def naive_families(w):
                 if j2 > n:
                     continue
                 if list(letters[i1:j1]) == [-a for a in reversed(letters[i2:j2])]:
-                    cands.append(((i1, j1), (i2, j2)))
+                    pairs.append(((i1, j1), (i2, j2)))
+    return pairs
+
+
+def naive_families(w):
+    """Independent enumeration: the naive candidate scan, then subset
+    filtering with index-set logic."""
+    cands = naive_pairs(w)
 
     def indices(r):
         return set(range(r[0], r[1]))
@@ -59,10 +66,6 @@ def naive_families(w):
     return found
 
 
-def as_frozen(family):
-    return frozenset((p.first, p.second) for p in family)
-
-
 def test_word_without_both_signs_only_has_the_empty_family():
     w = parse("x1 x2 x1", 2)
     families = list(enumerate_nested_families(w))
@@ -72,19 +75,26 @@ def test_word_without_both_signs_only_has_the_empty_family():
 def test_families_match_naive_enumeration_on_fixed_words():
     for text in ("x1 x2 X1 X2 x1", "x2 x1 x2 X1 X2", "x1 X2 x2 X1"):
         w = parse(text, 2)
-        ours = {as_frozen(f) for f in enumerate_nested_families(w)}
+        ours = {frozenset(f) for f in enumerate_nested_families(w)}
         naive = set(naive_families(w))
         assert ours == naive, text
 
 
 def match_naive_enumeration(seed, count, max_len):
-    """Compare families on random rank-2 words; return the lengths seen."""
+    """Compare candidates and families on random rank-2 words, and check
+    the documented order: candidates sorted by range, families depth-first
+    over them (ascending tuple order, the empty family first).  Return the
+    lengths seen."""
     rng = random.Random(seed)
     lengths = set()
     for _ in range(count):
         w = random_reduced_word(rng, 2, rng.randint(0, max_len))
         lengths.add(len(w))
-        ours = [as_frozen(f) for f in enumerate_nested_families(w)]
+        assert _candidate_pairs(w) == sorted(naive_pairs(w)), str(w)
+        families = list(enumerate_nested_families(w))
+        assert families[0] == ()
+        assert families == sorted(families), str(w)
+        ours = [frozenset(f) for f in families]
         assert len(ours) == len(set(ours))
         assert set(ours) == set(naive_families(w))
     return lengths
@@ -100,7 +110,7 @@ def test_families_match_naive_enumeration_up_to_eight_letters():
 
 def test_four_cycle_word_families_by_hand():
     w = parse("x1 x2 X1 X2 x1", 2)
-    families = {as_frozen(f) for f in enumerate_nested_families(w)}
+    families = {frozenset(f) for f in enumerate_nested_families(w)}
     assert families == {
         frozenset(),
         frozenset({((0, 1), (2, 3))}),
@@ -147,7 +157,7 @@ def enumerated_leftover_costs(w):
     table = subword_simple_lengths(w)
     costs = {}
     for family in enumerate_nested_families(w):
-        erased = {t for p in family for r in (p.first, p.second) for t in range(*r)}
+        erased = {t for p in family for r in p for t in range(*r)}
         cost, start = 0, None
         for t in range(len(w) + 1):
             if t < len(w) and t not in erased:

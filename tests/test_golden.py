@@ -13,6 +13,7 @@ import json
 import shlex
 from pathlib import Path
 
+from golden.record_cli import ARGVS, BALLS
 from helpers import cli_outcome
 
 from spotdisk.cli import main
@@ -44,9 +45,7 @@ def test_qi_cert_grids_match_the_benchmark_reference():
 
 
 # torus-ball DOT files over criterion 8's ranges, plus two-digit child and
-# leaf indices; recorded in cli.json with the other argvs
-BALLS = [(r, v, l) for r in range(5) for v in range(1, 5) for l in range(4)]
-BALLS += [(1, 11, 0), (2, 11, 1), (1, 2, 11), (2, 11, 11)]
+# leaf indices (the recorder's BALLS); recorded in cli.json with the other argvs
 BALL_KEYS = {
     f"torus-ball --radius {r} --valency {v} --leaves {l} --dot out.dot" for r, v, l in BALLS
 }
@@ -62,6 +61,8 @@ def test_torus_ball_stdout_and_dot_match_the_recorded_digests():
 
 def test_cli_runs_match_the_recorded_outcomes():
     recorded = json.loads(CLI.read_text(encoding="utf-8"))["runs"]
+    # the recorder's argv list and the recorded file name the same runs
+    assert set(recorded) == {shlex.join(argv) for argv in ARGVS}
     assert {r["exit"] for r in recorded.values()} == {0, 2, 3}
     for key, outcome in recorded.items():
         if key not in BALL_KEYS:
