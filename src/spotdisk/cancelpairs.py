@@ -17,7 +17,8 @@ from typing import Iterator
 
 from ._record import Record
 from .errors import CapExceeded
-from .whitehead import simple_length, subword_simple_lengths
+# perfbench/traced_cli.py wraps cancelpairs.simple_length by name
+from .whitehead import simple_length, subword_simple_lengths  # noqa: F401
 from .words import ReducedWord, subword
 
 __all__ = [
@@ -166,13 +167,14 @@ def cr_lower_bound(w: ReducedWord) -> Fraction:
     (``enumerate_nested_families``, kept as the oracle) is exponential.
 
     The empty family leaves the whole word, of simple length S0, and
-    scores max(-1, S0/5 - 3).  That is at most 0 when S0 <= 15, so the
-    bound is then 0 without the dynamic program.
+    scores max(-1, S0/5 - 3), which is at most 0 when S0 <= 15.  A simple
+    piece has at least 2g + 1 letters, so S0 <= n // (2g + 1), and when
+    that is at most 15 the bound is 0 without the dynamic program.
     """
     n = len(w)
     if n > DEFAULT_CR_CAP:
         raise CapExceeded(f"word length {n} exceeds lower bound cap {DEFAULT_CR_CAP}")
-    if simple_length(w).value <= 15:
+    if n // (2 * w.rank + 1) <= 15:
         return Fraction(0)
     best = min(
         max(Fraction(k, 2) - 1, Fraction(k + s, 5) - 3)

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 input error, 3 resource-cap error, 1 internal
 failure (a consistency check or any other exception, reported as one
 ``error: internal:`` line instead of a traceback), 141 with nothing on
 stderr when the reader of stdout closes it early.  A failed open, write
-or close of an output file, and a failed write to stdout, exit 2.
+or close of an output file, and a failed write to stdout, exit 2; a
+closed stdout still ends 141 when an output file fails with it.
 Diagnostics go to stderr, results to stdout; identical inputs produce
 byte-identical output.  ``qi-cert --jobs`` is accepted and validated for
 compatibility; rows are computed in one thread, and their CSV goes to
@@ -18,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, suppress
 
 from .errors import CapExceeded, RankError
 from .words import format_word, parse
@@ -42,28 +43,37 @@ def _check_rank_cap(rank: int) -> None:
         raise CapExceeded(f"rank {rank} exceeds cap {MAX_RANK}")
 
 
+@contextmanager
 def _open_output(path: str | None):
-    """Open an output file named on the command line, or a null context
-    when there is none.  Commands call this after their argument checks
-    and before any work, so an unwritable path exits 2 with no output."""
+    """Open an output file named on the command line, or give None when
+    there is none.  Commands call this after their argument checks and
+    before any work, so an unwritable path exits 2 with no output.  A
+    failed close exits 2 too, unless the body already failed: its error
+    stands, so a full disk never hides a closed stdout."""
     if path is None:
-        return nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        out = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        yield out
+    except BaseException:
+        with suppress(OSError):  # drop the unwritten rest
+            out.close()
+        raise
+    try:
+        out.close()
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_output(out, lines, close: bool = True) -> None:
-    """Write lines to a file from :func:`_open_output`, and close it unless
-    ``close`` is false; an OSError closes it and exits 2."""
+def _write_output(out, lines) -> None:
+    """Write lines to a file from :func:`_open_output`; an OSError exits 2."""
     try:
         out.writelines(lines)
-        if close:
-            out.close()
     except OSError as exc:
-        with suppress(OSError):  # drop the unwritten rest, so no later close can fail
-            out.close()
         raise ValueError(f"cannot write {out.name}: {exc.strerror}") from None
 
 
@@ -140,14 +150,12 @@ def _cmd_qi_cert(args: argparse.Namespace) -> int:
         def write(text: str) -> None:
             sys.stdout.write(text)
             if csv:
-                _write_output(csv, (text,), close=False)
+                _write_output(csv, (text,))
 
         rows, low, high = qicert.stream_csv(args.rank, args.n, args.grid_max, write)
         print(f"rows: {rows}")
         print(f"min ratio: {low if low is not None else '-'}")
         print(f"max ratio: {high if high is not None else '-'}")
-        if csv:
-            _write_output(csv, ())
     return 0
 
 

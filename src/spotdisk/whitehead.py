@@ -280,39 +280,24 @@ def simple_length(w: ReducedWord) -> SimpleLengthWitness:
 def simple_length_bruteforce(w: ReducedWord) -> int:
     """Independent check of :func:`simple_length` by explicit enumeration.
 
-    Walks the full tree of 2^(n-1) letterwise splits depth first; a
-    branch is dropped as soon as its current piece has a cut vertex,
-    which discards only splits that already fail to qualify.  Pieces are
-    judged through the public graph constructor rather than the greedy
-    scan.  Words longer than ``ORACLE_CAP`` letters raise
-    :class:`CapExceeded`, which bounds the walk at 2^(ORACLE_CAP-1) splits.
+    Keeps, for each split end j, the most simple pieces that split
+    ``w[:j]`` exactly, and extends every reached end by every piece after
+    it, so it judges at most n(n+1)/2 pieces.  Pieces are judged through
+    the public graph constructor rather than the greedy scan.  Words
+    longer than ``ORACLE_CAP`` letters raise :class:`CapExceeded`; the
+    dynamic program could take more, but the cap fixes which words the
+    oracle accepts, and with them the exit codes of ``--oracle``.
     """
     n = len(w)
     if n > ORACLE_CAP:
         raise CapExceeded(f"word length {n} exceeds brute-force cap {ORACLE_CAP}")
-    memo: dict[tuple[int, int], bool] = {}
-
-    def simple_piece(i: int, j: int) -> bool:
-        key = (i, j)
-        if key not in memo:
-            memo[key] = not has_cut_vertex(whitehead_graph(subword(w, i, j)))
-        return memo[key]
-
-    best = 0
-
-    def walk(i: int, count: int) -> None:
-        nonlocal best
-        if i == n:
-            if count > best:
-                best = count
-            return
-        for j in range(i + 1, n + 1):
-            if simple_piece(i, j):
-                walk(j, count + 1)
-
-    if n:
-        walk(0, 0)
-    return best
+    most = {0: 0}
+    for i in range(n):
+        if i in most:
+            for j in range(i + 1, n + 1):
+                if not has_cut_vertex(whitehead_graph(subword(w, i, j))):
+                    most[j] = max(most.get(j, 0), most[i] + 1)
+    return most.get(n, 0)
 
 
 def subword_simple_lengths(w: ReducedWord) -> dict[tuple[int, int], int]:

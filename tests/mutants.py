@@ -14,7 +14,7 @@ Each mutant's verdict and time are printed.  The exit status is 1 when an
 old text is missing or repeated, when the unmutated suite fails, or when
 any mutant survives.
 
-Three mutants are left off because they are equivalent: no input tells
+Four mutants are left off because they are equivalent: no input tells
 them apart from the program, so no test can kill them.
 
 - ``cr_bruteforce``'s ``max_ell = min(max_ell, n)`` with ``n + 1``: an
@@ -25,6 +25,10 @@ them apart from the program, so no test can kill them.
 - ``_greedy_cuts``' table head ``letters[start : start + width]`` cut to
   2g letters: the buckets are only coarser, and each still holds every
   known piece that can match.
+- ``simple_length_bruteforce``'s ``return most.get(n, 0)`` with
+  ``return max(most.values())``: absorbing the rest of the word into the
+  last piece extends any split of a prefix, since a piece that contains
+  a simple piece is simple.
 
 The list follows DeMillo, Lipton and Sayward, "Hints on test data
 selection" (Computer, 1978): each mutant is one small change that a
@@ -48,6 +52,7 @@ TIER1 = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-co
 CANCELPAIRS = "src/spotdisk/cancelpairs.py"
 CLI = "src/spotdisk/cli.py"
 QICERT = "src/spotdisk/qicert.py"
+RECORD = "src/spotdisk/_record.py"
 TORUSTREE = "src/spotdisk/torustree.py"
 WHITEHEAD = "src/spotdisk/whitehead.py"
 WORDS = "src/spotdisk/words.py"
@@ -56,9 +61,15 @@ WORDS = "src/spotdisk/words.py"
 MUTANTS = [
     (
         CANCELPAIRS,
-        "if simple_length(w).value <= 15:",
-        "if simple_length(w).value <= 16:",
-        "the lower bound's early exit holds only up to simple length 15",
+        "if n // (2 * w.rank + 1) <= 15:",
+        "if n // (2 * w.rank + 1) <= 16:",
+        "the lower bound's early exit holds only while n // (2g + 1) bounds S0 by 15",
+    ),
+    (
+        CANCELPAIRS,
+        "if n // (2 * w.rank + 1) <= 15:",
+        "if n // (2 * w.rank) <= 15:",
+        "a simple piece has at least 2g + 1 letters, so n // (2g + 1) bounds S0 and spares the dynamic program",
     ),
     (
         CANCELPAIRS,
@@ -182,7 +193,31 @@ MUTANTS = [
         CLI,
         "out.close()\n    except OSError as exc:",
         "out.close()\n    except ZeroDivisionError as exc:",
-        "a failed write to an output file exits 2, not 1 as internal",
+        "a failed close of an output file exits 2, not as a stdout failure",
+    ),
+    (
+        CLI,
+        "with suppress(OSError):  # drop the unwritten rest",
+        "if True:  # drop the unwritten rest",
+        "a failing output file never hides a closed stdout, which exits 141",
+    ),
+    (
+        WHITEHEAD,
+        "most[j] = max(most.get(j, 0), most[i] + 1)",
+        "most[j] = max(most.get(j, 0), most[i])",
+        "each piece of the enumeration oracle's split counts one",
+    ),
+    (
+        WHITEHEAD,
+        "for j in range(i + 1, n + 1):\n                if not has_cut_vertex",
+        "for j in range(i + 1, n):\n                if not has_cut_vertex",
+        "the enumeration oracle's last piece may end the word",
+    ),
+    (
+        RECORD,
+        "        if len(args) != len(names):\n            raise TypeError",
+        "        if False:\n            raise TypeError",
+        "a record refuses too few or too many fields",
     ),
     (
         WHITEHEAD,

@@ -187,6 +187,7 @@ def test_cr_lower_bound_matches_family_enumeration():
 
 def test_cr_lower_bound_past_the_early_exit_matches_the_dp(monkeypatch):
     import spotdisk.cancelpairs as cancelpairs
+    import spotdisk.whitehead as whitehead
 
     monkeypatch.setattr(cancelpairs, "DEFAULT_CR_CAP", 80)
     # simple length 16 each: the commutator power has cancelling pairs,
@@ -200,14 +201,19 @@ def test_cr_lower_bound_past_the_early_exit_matches_the_dp(monkeypatch):
         )
         assert cr_lower_bound(w) == max(best, Fraction(0)), str(w)
     assert cr_lower_bound(words[1]) == Fraction(1, 5)
+    # 76 // 5 = 15 bounds S0 by the word length alone, so neither a scan
+    # nor the dynamic program runs
+    monkeypatch.setattr(whitehead, "_greedy_cuts", None)
+    monkeypatch.setattr(cancelpairs, "_least_leftover_costs", None)
     assert cr_lower_bound(ReducedWord(2, (1, 1, 2, 2) * 19)) == 0
 
 
 def test_simple_pieces_have_at_least_2g_plus_1_letters():
     # Each of the 2g Whitehead vertices of a simple piece needs two distinct
-    # neighbours, so its n - 1 edges number at least 2g.  Hence S0 <= 6 at
-    # the 32-letter cap, the early exit (S0 <= 15) always fires, and
-    # cr-bounds prints a lower bound of 0 for every word it accepts.
+    # neighbours, so its n - 1 edges number at least 2g.  Hence
+    # S0 <= n // (2g + 1) <= 6 at the 32-letter cap, the length gate in
+    # cr_lower_bound returns 0 before any scan, and cr-bounds prints a
+    # lower bound of 0 for every word it accepts.
     rng = random.Random(20260810)  # criterion 2's corpora
     words = list(all_reduced_words(2, 8))
     words += [

@@ -175,6 +175,23 @@ def test_cr_bounds_accepts_words_up_to_32_letters(capsys):
         assert Fraction(lower) <= int(mid) <= int(upper)
 
 
+def test_cr_bounds_scans_the_whole_word_once(monkeypatch, capsys):
+    # the lower bound needs no simple length at 32 letters (S0 <= 6), so
+    # only the printed simple length scans the word
+    calls = []
+    greedy_cuts = whitehead._greedy_cuts
+
+    def counting(*args):
+        calls.append(args)
+        return greedy_cuts(*args)
+
+    monkeypatch.setattr(whitehead, "_greedy_cuts", counting)
+    word = format_word(random_reduced_word(random.Random(32), 2, 32))
+    code, _, err = run(capsys, "cr-bounds", word, "--rank", "2")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_unexpected_exception_is_one_line_exit_1(monkeypatch, capsys):
     def broken(w):
         raise RuntimeError("broken\nbound")
@@ -516,6 +533,35 @@ def test_reader_closing_stdout_mid_stream_ends_quietly_with_141():
     assert proc.wait(timeout=60) == 141
     assert first.startswith(b"n,g,k,l,")
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_closed_stdout_wins_over_a_failing_output_file(tmp_path, monkeypatch, capsys):
+    # the reader leaves after the CSV header, which still sits in the
+    # buffer of the --csv file; closing that file on the way out fails as
+    # well, and must not turn the quiet 141 into a stdout error
+    class ClosedAfterHeader:
+        def __init__(self, fileno):
+            self._fileno = fileno
+            self.writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            pass
+
+        def fileno(self):  # main points it at the null device
+            return self._fileno
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedAfterHeader(target.fileno()))
+        code = main(["qi-cert", "--rank", "4", "--n", "1", "--grid-max", "2", "--csv", "/dev/full"])
+    assert code == 141
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

@@ -104,6 +104,11 @@ def test_record_contract(cls, names, values, text):
     if cls.__init__ is Record.__init__:
         with pytest.raises(TypeError):
             cls(**by_keyword)
+        # one field short or one too many
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, None)
     else:  # ReducedWord keeps its own (rank, letters) constructor
         assert cls(**by_keyword) == record
     assert tuple(getattr(record, name) for name in names) == values
