@@ -198,6 +198,12 @@ def cr_bruteforce(
     the true minimum: enlarging any bound can only lower it, and the
     trivial one-factor decomposition (v = w, u empty) is always
     admitted, so the value never exceeds the simple length of ``w``.
+
+    One dynamic program over (split end j, segment count ell) keeps, per
+    state, the cheapest split of ``w[:j]`` with its own segments, so no
+    back-pointer walk rebuilds them.  Ties go to the smallest peel
+    depth, the first segment start and the fewest segments, and the
+    one-factor fallback beats every split of equal value.
     """
     n = len(w)
     if n > DEFAULT_CR_CAP:
@@ -208,62 +214,38 @@ def cr_bruteforce(
         raise ValueError("search bounds must be nonnegative")
     # every segment is nonempty, so no split has more than n of them
     max_ell = min(max_ell, n)
-    epsilon = ReducedWord.identity(w.rank)
-    if n == 0:
-        return ConjugateReducedWitness(0, ((epsilon, epsilon),))
-
     letters = w.letters
     table = subword_simple_lengths(w)
-
-    def segment_choice(i: int, j: int) -> tuple[int, int] | None:
-        """Cheapest (cost, peel depth) for segment [i, j), or None."""
-        length = j - i
-        best_cost, best_k = None, 0
-        depth = 0
-        while depth < min(max_conj, (length - 1) // 2) and letters[i + depth] == -letters[j - 1 - depth]:
-            depth += 1
-        for k in range(depth + 1):
-            if length - 2 * k > max_piece:
-                continue
-            cost = table[(i + k, j - k)]
-            if best_cost is None or cost < best_cost:
-                best_cost, best_k = cost, k
-        return None if best_cost is None else (best_cost, best_k)
-
-    choices = {
-        (i, j): segment_choice(i, j) for i in range(n) for j in range(i + 1, n + 1)
-    }
-
-    big = None
-    cost = [[big] * (max_ell + 1) for _ in range(n + 1)]
-    back: dict[tuple[int, int], tuple[int, int]] = {}
-    cost[0][0] = 0
+    # best[ell][j]: (least summed piece cost, segments (i, k, j)) of the
+    # splits of w[:j] into ell segments, or None when there is none
+    best = [[None] * (n + 1) for _ in range(max_ell + 1)]
+    best[0][0] = (0, ())
     for j in range(1, n + 1):
-        for ell in range(1, max_ell + 1):
-            for i in range(j):
-                prior = cost[i][ell - 1]
-                choice = choices[(i, j)]
-                if prior is None or choice is None:
-                    continue
-                if cost[j][ell] is None or prior + choice[0] < cost[j][ell]:
-                    cost[j][ell] = prior + choice[0]
-                    back[(j, ell)] = (i, choice[1])
+        for i in range(j):
+            length = j - i
+            depth, limit = 0, min(max_conj, (length - 1) // 2)
+            while depth < limit and letters[i + depth] == -letters[j - 1 - depth]:
+                depth += 1
+            admissible = [
+                (table[i + k, j - k], k) for k in range(depth + 1) if length - 2 * k <= max_piece
+            ]
+            if not admissible:
+                continue
+            cost, k = min(admissible)
+            for ell in range(1, max_ell + 1):
+                prior, state = best[ell - 1][i], best[ell][j]
+                if prior is not None and (state is None or prior[0] + cost < state[0]):
+                    best[ell][j] = (prior[0] + cost, prior[1] + ((i, k, j),))
 
-    # trivial fallback keeps the value at or below the simple length even
-    # when every bounded split is infeasible
-    best_value = table[(0, n)]
-    best_decomp: tuple[tuple[ReducedWord, ReducedWord], ...] = ((w, epsilon),)
+    # the one-factor fallback keeps the value at or below the simple length
+    # even when every bounded split is infeasible, and covers the empty word
+    epsilon = ReducedWord.identity(w.rank)
+    value, decomposition = table.get((0, n), 0), ((w, epsilon),)
     for ell in range(1, max_ell + 1):
-        if cost[n][ell] is None:
-            continue
-        value = cost[n][ell] + (ell - 1)
-        if value < best_value:
-            pieces = []
-            j, level = n, ell
-            while level > 0:
-                i, k = back[(j, level)]
-                pieces.append((subword(w, i + k, j - k), subword(w, j - k, j)))
-                j, level = i, level - 1
-            best_value = value
-            best_decomp = tuple(reversed(pieces))
-    return ConjugateReducedWitness(best_value, best_decomp)
+        state = best[ell][n]
+        if state is not None and state[0] + ell - 1 < value:
+            value = state[0] + ell - 1
+            decomposition = tuple(
+                (subword(w, i + k, j - k), subword(w, j - k, j)) for i, k, j in state[1]
+            )
+    return ConjugateReducedWitness(value, decomposition)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import os
 import random
 import tempfile
@@ -21,8 +22,8 @@ from typing import Iterator, Sequence
 from unittest import mock
 
 from spotdisk.cli import main
-from spotdisk.whitehead import WhiteheadGraph, _simple_stop
-from spotdisk.words import ReducedWord, concat, inverse
+from spotdisk.whitehead import WhiteheadGraph, _simple_stop, simple_length
+from spotdisk.words import ReducedWord, concat, inverse, subword
 
 
 def all_reduced_words(rank: int, max_len: int) -> Iterator[ReducedWord]:
@@ -61,6 +62,38 @@ def plain_greedy_cuts(rank: int, letters: tuple[int, ...]) -> list[int]:
     while (stop := _simple_stop(rank, letters, cuts[-1])) is not None:
         cuts.append(stop)
     return cuts
+
+
+def bounded_decomposition_value(
+    w: ReducedWord, max_ell: int, max_piece: int, max_conj: int
+) -> int:
+    """Least value of a conjugate-piece decomposition of ``w`` within the
+    bounds of ``cr_bruteforce``, or the simple length of ``w`` if less.
+
+    Every split into at most ``max_ell`` nonempty segments is listed, and
+    each segment ``u^-1 v u`` tries every peel depth ``len(u) <= max_conj``
+    with ``len(v) <= max_piece``; each ``v`` is measured by
+    ``simple_length`` on its own.  A split of ell segments is worth
+    ell - 1 plus its cheapest pieces.
+    """
+    n = len(w)
+
+    def piece_cost(i: int, j: int) -> int | None:
+        costs = [
+            simple_length(subword(w, i + k, j - k)).value
+            for k in range(min(max_conj, (j - i) // 2) + 1)
+            if j - i - 2 * k <= max_piece and subword(w, i, i + k) == inverse(subword(w, j - k, j))
+        ]
+        return min(costs, default=None)
+
+    best = simple_length(w).value
+    for ell in range(1, min(max_ell, n) + 1):
+        for cuts in itertools.combinations(range(1, n), ell - 1):
+            ends = (0, *cuts, n)
+            costs = [piece_cost(i, j) for i, j in zip(ends, ends[1:])]
+            if None not in costs:
+                best = min(best, ell - 1 + sum(costs))
+    return best
 
 
 def _reachable(start: str | int, verts: set, adjacency: dict) -> set:

@@ -279,6 +279,36 @@ MUTANTS = [
         "for s in q:",
         "two pairs of a family use disjoint ranges",
     ),
+    (
+        CANCELPAIRS,
+        "for ell in range(1, max_ell + 1):\n        state = best[ell][n]",
+        "for ell in range(1, max_ell):\n        state = best[ell][n]",
+        "the decomposition search takes splits into exactly max_ell segments",
+    ),
+    (
+        CANCELPAIRS,
+        "length - 2 * k <= max_piece",
+        "length - 2 * k < max_piece",
+        "a piece of exactly max_piece letters is admitted",
+    ),
+    (
+        CANCELPAIRS,
+        "state[0] + ell - 1 < value",
+        "state[0] + ell < value",
+        "a split into ell segments costs its pieces plus ell - 1",
+    ),
+    (
+        CANCELPAIRS,
+        "prior[1] + ((i, k, j),)",
+        "((i, k, j),)",
+        "each state of the decomposition search keeps all of its segments",
+    ),
+    (
+        WORDS,
+        "if index == 0 or index > rank:",
+        "if index > rank:",
+        "parse names the token of a letter index 0 in its own message",
+    ),
 ]
 
 

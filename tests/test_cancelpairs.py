@@ -3,7 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import all_reduced_words, conjugate_product, random_reduced_word
+from helpers import (
+    all_reduced_words,
+    bounded_decomposition_value,
+    conjugate_product,
+    random_reduced_word,
+)
 
 from spotdisk.cancelpairs import (
     _candidate_pairs,
@@ -248,6 +253,23 @@ def test_cr_bruteforce_finds_conjugate_structure():
     w = concat(concat(inverse(u), core), u)
     witness = cr_bruteforce(w)
     assert witness.value <= simple_length(core).value
+
+
+# a 7-letter word peeled once leaves a 5-letter piece, which (1, 5, 3) just admits
+@pytest.mark.parametrize(
+    "bounds, max_len", [((1, 6, 3), 7), ((1, 5, 3), 7), ((2, 3, 1), 7), ((3, 6, 3), 6)]
+)
+def test_cr_bruteforce_finds_the_bounded_minimum(bounds, max_len):
+    for w in all_reduced_words(2, max_len):
+        assert cr_bruteforce(w, *bounds).value == bounded_decomposition_value(w, *bounds), str(w)
+
+
+def test_cr_bruteforce_takes_a_split_into_exactly_max_ell_segments():
+    w = parse("X2 x1 x2 X1 X2 x1 X2 X1 x2 x2 x1 X2 x1 X2 X1 X2 x1 x2 X1", 2)
+    assert simple_length(w).value == 3
+    assert bounded_decomposition_value(w, 3, 6, 3) == cr_bruteforce(w).value == 2
+    assert bounded_decomposition_value(w, 2, 6, 3) == cr_bruteforce(w, max_ell=2).value == 3
+    assert len(cr_bruteforce(w).decomposition) == 3
 
 
 def test_sandwich_on_random_words():

@@ -169,8 +169,10 @@ def test_parse_rejects_bad_input():
         parse("x1 b", 2)
     with pytest.raises(ParseError):
         parse("x-1", 2)
-    with pytest.raises(RankError):
+    with pytest.raises(RankError, match=r"letter index in 'x0' outside 1\.\.2"):
         parse("x0", 2)
+    with pytest.raises(RankError, match=r"letter index in 'X0' outside 1\.\.2"):
+        parse("X0", 2)
     with pytest.raises(RankError):
         parse("x3", 2)
     with pytest.raises(RankError):
